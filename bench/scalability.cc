@@ -83,7 +83,7 @@ Row MeasureSize(int cubs, uint64_t seed, Duration run, Duration window) {
     int made = dist.BootstrapStreams(streams, sink_addr, file.value(), config.max_stream_bps);
     TIGER_CHECK(made == streams);
     dist.Start();
-    dist.sim().RunUntil(TimePoint::Zero() + run);
+    dist.RunUntil(TimePoint::Zero() + run);
     TimePoint b = dist.sim().Now();
     TimePoint a = b - window;
     row.dist_ctrl_bps = dist.ControllerControlTrafficBps(a, b);
@@ -123,7 +123,7 @@ double RunDistributedOnce(uint64_t seed, int cubs, Duration run, TraceMode mode,
   dist.Start();
 
   const auto wall_start = std::chrono::steady_clock::now();
-  dist.sim().RunUntil(TimePoint::Zero() + run);
+  dist.RunUntil(TimePoint::Zero() + run);
   const auto wall_end = std::chrono::steady_clock::now();
 
   if (events_recorded != nullptr) {

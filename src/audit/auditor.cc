@@ -125,23 +125,14 @@ void ScheduleAuditor::Attach(TigerSystem* system) {
 }
 
 void ScheduleAuditor::Start() {
+  TIGER_CHECK(system_ != nullptr) << "ScheduleAuditor::Start before Attach";
   if (started_) {
     return;
   }
   started_ = true;
-  if (system_ != nullptr && system_->engine() != nullptr) {
-    // Sharded: check at barriers, where every shard is quiesced and all
-    // journals have applied — an actor timer on one shard would race the
-    // others' views.
-    system_->engine()->AddPeriodicTask(options_.period, [this] { CheckNow(); });
-    return;
-  }
-  After(options_.period, [this] { Tick(); });
-}
-
-void ScheduleAuditor::Tick() {
-  CheckNow();
-  After(options_.period, [this] { Tick(); });
+  // Check at barriers, where every shard is quiesced and all journals have
+  // applied — an actor timer on one shard would race the others' views.
+  system_->engine()->AddPeriodicTask(options_.period, [this] { CheckNow(); });
 }
 
 void ScheduleAuditor::CheckNow() {

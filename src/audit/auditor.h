@@ -151,7 +151,9 @@ class ScheduleAuditor : public Actor, public AuditObserver, public TraceSink {
   // live sink (when tracing is enabled), and the per-tick view diff.
   void Attach(TigerSystem* system);
 
-  // Begins the periodic shadow-vs-view diff. Call before running the sim.
+  // Begins the periodic shadow-vs-view diff: an engine barrier task every
+  // options.period, where every shard is quiesced and all journals have
+  // applied. Call after Attach() and before running the system.
   void Start();
   // Runs one diff/resolution pass at the current simulated time.
   void CheckNow();
@@ -296,7 +298,6 @@ class ScheduleAuditor : public Actor, public AuditObserver, public TraceSink {
   void ResolveOrphanKills(TimePoint now);
   void DiffViews(TimePoint now);
   void PruneState(TimePoint now);
-  void Tick();
 
   const TigerConfig* config_;
   Options options_;

@@ -39,8 +39,8 @@ class Testbed {
   void AddLoopingViewers(int count, Duration stagger, bool steady_state = false);
 
   void Start() { system_.Start(); }
-  // Route through the system so one call drives either engine (serial
-  // simulator or the sharded ShardEngine).
+  // Route through the system: it advances every shard and fires the
+  // barrier tasks.
   void RunFor(Duration d) { system_.RunFor(d); }
   void RunUntil(TimePoint t) { system_.RunUntil(t); }
 

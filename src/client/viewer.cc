@@ -5,6 +5,7 @@
 
 #include "src/common/logging.h"
 #include "src/net/payload_pool.h"
+#include "src/sim/shard_engine.h"
 
 namespace tiger {
 
@@ -147,7 +148,7 @@ void ViewerClient::OnBlockData(const BlockDataMsg& msg) {
   progress.complete = true;
   stats_.blocks_complete++;
   if (qos_ != nullptr) {
-    qos_->RecordClientBlock(id_);
+    ShardEngine::JournalCall(qos_, &QosLedger::RecordClientBlock, id_);
   }
 
   if (!play.first_block_complete.has_value()) {
@@ -164,7 +165,7 @@ void ViewerClient::OnBlockData(const BlockDataMsg& msg) {
       if (qos_ != nullptr) {
         // Ledger positions are absolute block indexes — the key the serving
         // cub annotated.
-        qos_->RecordClientLate(Now(), id_, msg.position);
+        ShardEngine::JournalCall(qos_, &QosLedger::RecordClientLate, Now(), id_, msg.position);
       }
     }
   }
@@ -197,7 +198,8 @@ void ViewerClient::RetireBlocks() {
     loss_times_.push_back(*play.first_block_complete +
                           config_->block_play_time * play.check_cursor);
     if (qos_ != nullptr) {
-      qos_->RecordClientLost(Now(), id_, play.start_position + play.check_cursor);
+      ShardEngine::JournalCall(qos_, &QosLedger::RecordClientLost, Now(), id_,
+                               play.start_position + play.check_cursor);
     }
     if (it != play.progress.end()) {
       play.progress.erase(it);

@@ -147,8 +147,9 @@ struct TigerConfig {
   Duration deadman_timeout = Duration::Seconds(7);
 
   // --- sharded engine (DESIGN.md §6h) ---
-  // Ring-segment shards the simulation partitions into; 1 = the classic
-  // serial engine (byte-identical to historical runs). The logical schedule
+  // Ring-segment shards the simulation partitions into; 1 = the serial run,
+  // a one-shard engine that dispatches the classic serial event order (the
+  // trace golden pins it). The logical schedule
   // depends on sim_shards, never on sim_threads. 0 = auto-tune: TigerSystem
   // resolves it to AutoShardCount(shape.num_cubs, hardware threads) at
   // construction and logs the choice (it changes the logical schedule, so

@@ -7,6 +7,7 @@
 #include "src/common/logging.h"
 #include "src/common/units.h"
 #include "src/net/payload_pool.h"
+#include "src/sim/shard_engine.h"
 #include "src/trace/profiler.h"
 
 namespace tiger {
@@ -255,11 +256,12 @@ void Cub::OnViewerState(const ViewerStateRecord& record) {
                                   .a = static_cast<int64_t>(record.lineage.ChainId()),
                                   .b = record.lineage.hop_count});
     if (qos_ != nullptr) {
-      qos_->AnnotateServerCause(Now(), record.viewer, record.position,
-                                GlitchCause::kHopTtlExceeded, id_.value());
+      ShardEngine::JournalCall(qos_, &QosLedger::AnnotateServerCause, Now(), record.viewer,
+                               record.position, GlitchCause::kHopTtlExceeded, id_.value());
     }
     if (auditor_ != nullptr) {
-      auditor_->OnRecordTtlDropped(Now(), id_.value(), record);
+      ShardEngine::JournalCall(auditor_, &AuditObserver::OnRecordTtlDropped, Now(), id_.value(),
+                               record);
     }
     return;
   }
@@ -277,7 +279,8 @@ void Cub::OnViewerState(const ViewerStateRecord& record) {
   }
   const ScheduleView::ApplyResult apply_result = view_.ApplyViewerState(record, Now());
   if (auditor_ != nullptr) {
-    auditor_->OnRecordReceived(Now(), id_.value(), record, apply_result);
+    ShardEngine::JournalCall(auditor_, &AuditObserver::OnRecordReceived, Now(), id_.value(), record,
+                             apply_result);
   }
   switch (apply_result) {
     case ScheduleView::ApplyResult::kNew: {
@@ -299,8 +302,8 @@ void Cub::OnViewerState(const ViewerStateRecord& record) {
       if (qos_ != nullptr) {
         // A held deschedule killed this record; if the viewer still expected
         // the block (stop raced the play), the glitch traces back here.
-        qos_->AnnotateServerCause(Now(), record.viewer, record.position,
-                                  GlitchCause::kDescheduleRace, id_.value());
+        ShardEngine::JournalCall(qos_, &QosLedger::AnnotateServerCause, Now(), record.viewer,
+                                 record.position, GlitchCause::kDescheduleRace, id_.value());
       }
       break;
     case ScheduleView::ApplyResult::kTooLate:
@@ -308,8 +311,8 @@ void Cub::OnViewerState(const ViewerStateRecord& record) {
       if (qos_ != nullptr) {
         // The record reached us after its service window: the control message
         // that should have carried it arrived late or was dropped upstream.
-        qos_->AnnotateServerCause(Now(), record.viewer, record.position,
-                                  GlitchCause::kDroppedControl, id_.value());
+        ShardEngine::JournalCall(qos_, &QosLedger::AnnotateServerCause, Now(), record.viewer,
+                                 record.position, GlitchCause::kDroppedControl, id_.value());
       }
       break;
     case ScheduleView::ApplyResult::kConflict:
@@ -470,7 +473,8 @@ void Cub::SendBlock(const ViewerStateRecord::Key& key) {
   // leaves the schedule and the slot becomes free.
   const bool eof = !mirror && record.position + 1 >= file.block_count;
   if (eof && oracle_ != nullptr) {
-    oracle_->OnRemove(record.slot, record.instance, Now());
+    ShardEngine::JournalCall(oracle_, &ScheduleOracle::OnRemove, record.slot, record.instance,
+                             Now());
   }
   if (config_->simulate_data_plane && !had_block) {
     if (!entry->mirror_recovery) {
@@ -480,8 +484,8 @@ void Cub::SendBlock(const ViewerStateRecord::Key& key) {
       // the primary's silence is expected, not a miss.
       counters_.server_missed_blocks++;
       if (qos_ != nullptr) {
-        qos_->AnnotateServerCause(Now(), record.viewer, record.position,
-                                  GlitchCause::kPrimaryDiskOverload, id_.value());
+        ShardEngine::JournalCall(qos_, &QosLedger::AnnotateServerCause, Now(), record.viewer,
+                                 record.position, GlitchCause::kPrimaryDiskOverload, id_.value());
       }
       TIGER_TRACE_INSTANT(tracer_, trace_track_, TraceEventType::kBlockMissed,
                           TraceArgs{.viewer = record.viewer.value(),
@@ -502,8 +506,8 @@ void Cub::SendBlock(const ViewerStateRecord::Key& key) {
   } else {
     counters_.blocks_sent++;
     if (oracle_ != nullptr) {
-      oracle_->OnPrimarySend(record.slot, record.instance, ServingDisk(record), record.due,
-                             Now());
+      ShardEngine::JournalCall(oracle_, &ScheduleOracle::OnPrimarySend, record.slot,
+                               record.instance, ServingDisk(record), record.due, Now());
     }
   }
   TIGER_TRACE_INSTANT(tracer_, trace_track_, TraceEventType::kBlockSent,
@@ -621,9 +625,8 @@ void Cub::TakeoverRecord(const ViewerStateRecord::Key& key) {
           fragment.lineage.hop_count++;  // The chain branches: one synthesis hop.
         }
         if (auditor_ != nullptr) {
-          auditor_->OnRecordCreated(Now(), id_.value(),
-                                    AuditObserver::CreateKind::kTakeover, fragment,
-                                    RecordLineage{});
+          ShardEngine::JournalCall(auditor_, &AuditObserver::OnRecordCreated, Now(), id_.value(),
+                                   AuditObserver::CreateKind::kTakeover, fragment, RecordLineage{});
         }
         if (IsMyDisk(loc.disk)) {
           apply_local(fragment);
@@ -646,7 +649,8 @@ void Cub::TakeoverRecord(const ViewerStateRecord::Key& key) {
   }
   if (!next.has_value()) {
     if (oracle_ != nullptr) {
-      oracle_->OnRemove(record.slot, record.instance, Now());
+      ShardEngine::JournalCall(oracle_, &ScheduleOracle::OnRemove, record.slot, record.instance,
+                               Now());
     }
     return;
   }
@@ -654,8 +658,8 @@ void Cub::TakeoverRecord(const ViewerStateRecord::Key& key) {
   if (auditor_ != nullptr) {
     // The successor record is synthesized here on the dead cub's behalf,
     // whether it is applied locally or handed to the owning cub below.
-    auditor_->OnRecordCreated(Now(), id_.value(), AuditObserver::CreateKind::kTakeover,
-                              *next, RecordLineage{});
+    ShardEngine::JournalCall(auditor_, &AuditObserver::OnRecordCreated, Now(), id_.value(),
+                             AuditObserver::CreateKind::kTakeover, *next, RecordLineage{});
   }
   if (IsMyDisk(next_disk) && !failure_view_.IsDiskFailed(next_disk)) {
     // No explicit extra copy is needed for fault tolerance: our successor
@@ -696,8 +700,8 @@ void Cub::RecoverBlockViaMirrors(const ViewerStateRecord::Key& key) {
   if (qos_ != nullptr) {
     // The block will arrive as declustered fragments. Often still on time —
     // this annotation only surfaces if the client actually glitches.
-    qos_->AnnotateServerCause(Now(), record.viewer, record.position,
-                              GlitchCause::kMirrorFallback, id_.value());
+    ShardEngine::JournalCall(qos_, &QosLedger::AnnotateServerCause, Now(), record.viewer,
+                             record.position, GlitchCause::kMirrorFallback, id_.value());
   }
   // Rendered as a span covering the window the declustered fragments must
   // fill: from the failed read's completion to the block's due time.
@@ -707,7 +711,8 @@ void Cub::RecoverBlockViaMirrors(const ViewerStateRecord::Key& key) {
                                  .slot = record.slot.value(),
                                  .a = record.position});
   if (fault_stats_ != nullptr) {
-    fault_stats_->RecordMirrorRecovery(Now(), id_, record.position);
+    ShardEngine::JournalCall(fault_stats_, &FaultStats::RecordMirrorRecovery, Now(), id_,
+                             record.position);
   }
   // Dispatch the first living fragment of the declustered mirror chain; the
   // chain self-propagates from there exactly as in a takeover (§2.3, §4.1.1).
@@ -723,9 +728,9 @@ void Cub::RecoverBlockViaMirrors(const ViewerStateRecord::Key& key) {
         fragment.lineage.hop_count++;
       }
       if (auditor_ != nullptr) {
-        auditor_->OnRecordCreated(Now(), id_.value(),
-                                  AuditObserver::CreateKind::kMirrorRecovery, fragment,
-                                  RecordLineage{});
+        ShardEngine::JournalCall(auditor_, &AuditObserver::OnRecordCreated, Now(), id_.value(),
+                                 AuditObserver::CreateKind::kMirrorRecovery, fragment,
+                                 RecordLineage{});
       }
       SendRecordTo(config_->shape.CubOfDisk(loc.disk), fragment);
       break;
@@ -860,7 +865,8 @@ void Cub::MaybeForwardEntry(ScheduleEntry& entry, BatchMap& batches) {
   failure_view_.NextLivingSuccessors(id_, config_->forward_copies, &successors);
   for (CubId target : successors) {
     if (auditor_ != nullptr) {
-      auditor_->OnRecordForwarded(Now(), id_.value(), target.value(), *next);
+      ShardEngine::JournalCall(auditor_, &AuditObserver::OnRecordForwarded, Now(), id_.value(),
+                               target.value(), *next);
     }
     const NetAddress addr = addresses_->CubAddress(target);
     ViewerStateBatchMsg& batch = batches[addr];
@@ -921,7 +927,8 @@ void Cub::SendRecordTo(CubId target, const ViewerStateRecord& record) {
   ViewerStateRecord stamped = record;
   StampLineageForSend(&stamped);
   if (auditor_ != nullptr) {
-    auditor_->OnRecordForwarded(Now(), id_.value(), target.value(), stamped);
+    ShardEngine::JournalCall(auditor_, &AuditObserver::OnRecordForwarded, Now(), id_.value(),
+                             target.value(), stamped);
   }
   msg->Add(stamped);
   TIGER_TRACE_BEGIN_FLOW(msg->trace_flow, tracer_, trace_track_, TraceEventType::kVStateHop,
@@ -970,8 +977,9 @@ void Cub::OnDeschedule(const DescheduleMsg& msg) {
   const TimePoint hold_until = Now() + config_->max_vstate_lead + config_->deschedule_hold;
   ScheduleView::DescheduleOutcome outcome = view_.ApplyDeschedule(record, Now(), hold_until);
   if (auditor_ != nullptr) {
-    auditor_->OnKill(Now(), id_.value(), record, msg.lineage,
-                     static_cast<int>(outcome.removed.size()), outcome.new_hold);
+    ShardEngine::JournalCall(auditor_, &AuditObserver::OnKill, Now(), id_.value(), record,
+                             msg.lineage, static_cast<int>(outcome.removed.size()),
+                             outcome.new_hold);
   }
   if (!outcome.removed.empty()) {
     counters_.deschedules_applied++;
@@ -982,7 +990,8 @@ void Cub::OnDeschedule(const DescheduleMsg& msg) {
       }
     }
     if (oracle_ != nullptr) {
-      oracle_->OnRemove(record.slot, record.instance, Now());
+      ShardEngine::JournalCall(oracle_, &ScheduleOracle::OnRemove, record.slot, record.instance,
+                               Now());
     }
   }
   if (!outcome.new_hold) {
@@ -1115,8 +1124,8 @@ void Cub::InsertViewer(DiskId disk, SlotId slot, TimePoint due, const StartPlayM
   record.due = due;
   MintLineage(&record);
   if (auditor_ != nullptr) {
-    auditor_->OnRecordCreated(Now(), id_.value(), AuditObserver::CreateKind::kInsert,
-                              record, msg.lineage);
+    ShardEngine::JournalCall(auditor_, &AuditObserver::OnRecordCreated, Now(), id_.value(),
+                             AuditObserver::CreateKind::kInsert, record, msg.lineage);
   }
 
   ScheduleView::ApplyResult result = view_.ApplyViewerState(record, Now());
@@ -1129,7 +1138,8 @@ void Cub::InsertViewer(DiskId disk, SlotId slot, TimePoint due, const StartPlayM
                                 .slot = slot.value(),
                                 .a = record.position});
   if (oracle_ != nullptr) {
-    oracle_->OnInsert(slot, record.viewer, record.instance, Now());
+    ShardEngine::JournalCall(oracle_, &ScheduleOracle::OnInsert, slot, record.viewer,
+                             record.instance, Now());
   }
 
   auto confirm = MakePooledMessage<StartConfirmMsg>();
@@ -1155,8 +1165,8 @@ void Cub::BootstrapRecord(const ViewerStateRecord& record) {
   if (auditor_ != nullptr) {
     // Bootstrap seeds the same record on the slot owner and its backup; the
     // auditor treats the second creation as expected redundancy.
-    auditor_->OnRecordCreated(Now(), id_.value(), AuditObserver::CreateKind::kBootstrap,
-                              record, RecordLineage{});
+    ShardEngine::JournalCall(auditor_, &AuditObserver::OnRecordCreated, Now(), id_.value(),
+                             AuditObserver::CreateKind::kBootstrap, record, RecordLineage{});
   }
   if (result == ScheduleView::ApplyResult::kNew) {
     NoteInstanceSeen(record.instance.value());

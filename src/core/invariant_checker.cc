@@ -20,15 +20,6 @@ constexpr Duration kSettleTime = Duration::Millis(300);
 InvariantChecker::InvariantChecker(Simulator* sim, TigerSystem* system, Duration period)
     : Actor(sim, "invariants"), system_(system), period_(period) {}
 
-void InvariantChecker::Start() {
-  After(period_, [this] { Tick(); });
-}
-
-void InvariantChecker::Tick() {
-  CheckNow();
-  After(period_, [this] { Tick(); });
-}
-
 void InvariantChecker::AddViolation(std::string what) {
   if (!reported_.insert(what).second) {
     return;

@@ -45,10 +45,8 @@ class InvariantChecker : public Actor {
   InvariantChecker(Simulator* sim, TigerSystem* system,
                    Duration period = Duration::Millis(250));
 
-  // Begins periodic checking (call before running the simulator).
-  void Start();
-
-  // Runs all checks once at the current simulation time.
+  // Runs all checks once at the current simulation time. TigerSystem calls
+  // it from an engine barrier task every period(), with all shards quiesced.
   void CheckNow();
 
   Duration period() const { return period_; }
@@ -60,7 +58,6 @@ class InvariantChecker : public Actor {
   int64_t lead_underruns() const { return lead_underruns_; }
 
  private:
-  void Tick();
   void AddViolation(std::string what);
 
   TigerSystem* system_;

@@ -28,21 +28,20 @@ namespace tiger {
 class ScheduleOracle {
  public:
   explicit ScheduleOracle(const ScheduleGeometry* geometry) : geometry_(geometry) {}
-  virtual ~ScheduleOracle() = default;
 
-  // The write hooks are virtual so the sharded engine can interpose a
-  // journaling relay (src/core/shard_relays.h); production paths only write,
-  // never read, so deferring the writes to barriers is safe.
+  // Cubs call the write hooks through ShardEngine::JournalAppend; production
+  // paths only write, never read, so deferring the writes to barriers in
+  // sharded runs is safe.
 
   // Called by the inserting cub at the moment of insertion.
-  virtual void OnInsert(SlotId slot, ViewerId viewer, PlayInstanceId instance, TimePoint when);
+  void OnInsert(SlotId slot, ViewerId viewer, PlayInstanceId instance, TimePoint when);
 
   // Called when a play leaves the schedule (deschedule issued or EOF served).
-  virtual void OnRemove(SlotId slot, PlayInstanceId instance, TimePoint when);
+  void OnRemove(SlotId slot, PlayInstanceId instance, TimePoint when);
 
   // Called for each primary block send decision.
-  virtual void OnPrimarySend(SlotId slot, PlayInstanceId instance, DiskId disk, TimePoint due,
-                             TimePoint now);
+  void OnPrimarySend(SlotId slot, PlayInstanceId instance, DiskId disk, TimePoint due,
+                     TimePoint now);
 
   int conflict_count() const { return conflicts_; }
   // Chronological insert/remove event log (for test diagnostics).

@@ -11,6 +11,20 @@
 
 namespace tiger {
 
+namespace {
+
+bool WriteTextFile(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    return false;
+  }
+  const size_t written = std::fwrite(text.data(), 1, text.size(), f);
+  std::fclose(f);
+  return written == text.size();
+}
+
+}  // namespace
+
 TigerSystem::TigerSystem(TigerConfig config, uint64_t seed)
     : config_(config), rng_(seed), seed_(seed) {
   TIGER_CHECK(config_.shape.Valid()) << "invalid system shape";
@@ -37,20 +51,16 @@ TigerSystem::TigerSystem(TigerConfig config, uint64_t seed)
   TIGER_CHECK(config_.sim_shards >= 1);
   TIGER_CHECK(config_.sim_threads >= 1);
   const int num_cubs = config_.shape.num_cubs;
-  if (config_.sim_shards > 1) {
-    ShardEngine::Options opt;
-    opt.shards = config_.sim_shards;
-    opt.threads = config_.sim_threads;
-    opt.lookahead = config_.net.base_latency;
-    engine_ = std::make_unique<ShardEngine>(opt);
-    qos_relay_ = std::make_unique<QosLedgerRelay>(engine_.get(), &qos_ledger_);
-    fault_relay_ = std::make_unique<FaultStatsRelay>(engine_.get(), &fault_stats_);
-    // Contiguous ring segments: cub c lives on shard c*S/N, so neighbor
-    // forwarding mostly stays shard-local and segment sizes differ by ≤ 1.
-    cub_shards_.resize(static_cast<size_t>(num_cubs));
-    for (int c = 0; c < num_cubs; ++c) {
-      cub_shards_[static_cast<size_t>(c)] = c * engine_->shards() / num_cubs;
-    }
+  ShardEngine::Options opt;
+  opt.shards = config_.sim_shards;
+  opt.threads = config_.sim_threads;
+  opt.lookahead = config_.net.base_latency;
+  engine_ = std::make_unique<ShardEngine>(opt);
+  // Contiguous ring segments: cub c lives on shard c*S/N, so neighbor
+  // forwarding mostly stays shard-local and segment sizes differ by ≤ 1.
+  cub_shards_.resize(static_cast<size_t>(num_cubs));
+  for (int c = 0; c < num_cubs; ++c) {
+    cub_shards_[static_cast<size_t>(c)] = c * engine_->shards() / num_cubs;
   }
   net_ = std::make_unique<Network>(&sim(), config_.net, rng_.Fork());
   catalog_ = std::make_unique<Catalog>(config_.block_play_time, config_.block_bytes,
@@ -69,7 +79,7 @@ TigerSystem::TigerSystem(TigerConfig config, uint64_t seed)
     addresses_.cubs.push_back(cubs_.back()->address());
   }
   // Controller (and everything else attached later: backup, clients, the
-  // bootstrap sink) lives on shard 0 in sharded runs.
+  // bootstrap sink) lives on shard 0.
   controller_ =
       std::make_unique<Controller>(&sim(), &config_, catalog_.get(), layout_.get(), net_.get());
   addresses_.controller = controller_->address();
@@ -82,18 +92,20 @@ TigerSystem::TigerSystem(TigerConfig config, uint64_t seed)
           SimForCub(static_cast<size_t>(c)), "disk" + std::to_string(global.value()), global,
           config_.disk_model, rng_.Fork());
       disk->set_discipline(config_.disk_discipline);
-      disk->set_fault_stats(fault_sink());
+      disk->set_fault_stats(&fault_stats_);
       cub_disks.push_back(disk.get());
       disks_[global.value()] = std::move(disk);
     }
     cubs_[static_cast<size_t>(c)]->AttachDisks(std::move(cub_disks));
     cubs_[static_cast<size_t>(c)]->SetAddressBook(&addresses_);
-    cubs_[static_cast<size_t>(c)]->SetFaultStats(fault_sink());
-    cubs_[static_cast<size_t>(c)]->SetQosLedger(qos_sink());
+    cubs_[static_cast<size_t>(c)]->SetFaultStats(&fault_stats_);
+    cubs_[static_cast<size_t>(c)]->SetQosLedger(&qos_ledger_);
   }
   controller_->SetAddressBook(&addresses_);
-  if (engine_) {
+  if (sharded()) {
     // Node address order is attach order: cubs first, then the controller.
+    // One shard has no cross-shard deliveries to route, so the network keeps
+    // scheduling on shard 0 directly with its unforked jitter stream.
     std::vector<int> node_shards;
     node_shards.reserve(cub_shards_.size() + 1);
     for (int shard : cub_shards_) {
@@ -105,10 +117,6 @@ TigerSystem::TigerSystem(TigerConfig config, uint64_t seed)
   failed_cubs_.assign(static_cast<size_t>(num_cubs), 0);
 }
 
-Simulator* TigerSystem::SimForCub(size_t c) {
-  return engine_ ? &engine_->shard(cub_shards_[c]) : &sim_;
-}
-
 Result<FileId> TigerSystem::AddFile(std::string name, int64_t bitrate_bps, Duration duration) {
   DiskId start(static_cast<uint32_t>(next_start_disk_));
   next_start_disk_ = (next_start_disk_ + 1) % config_.shape.TotalDisks();
@@ -118,13 +126,8 @@ Result<FileId> TigerSystem::AddFile(std::string name, int64_t bitrate_bps, Durat
 void TigerSystem::EnableOracle() {
   if (!oracle_) {
     oracle_ = std::make_unique<ScheduleOracle>(geometry_.get());
-    ScheduleOracle* sink = oracle_.get();
-    if (engine_) {
-      oracle_relay_ = std::make_unique<OracleRelay>(geometry_.get(), engine_.get(), oracle_.get());
-      sink = oracle_relay_.get();
-    }
     for (auto& cub : cubs_) {
-      cub->SetOracle(sink);
+      cub->SetOracle(oracle_.get());
     }
   }
 }
@@ -132,23 +135,18 @@ void TigerSystem::EnableOracle() {
 void TigerSystem::EnableInvariantChecker() {
   if (!invariant_checker_) {
     invariant_checker_ = std::make_unique<InvariantChecker>(&sim(), this);
-    if (engine_) {
-      // The checker reads every living cub's view — only safe with all
-      // shards quiesced, so it runs as a barrier-aligned periodic task
-      // instead of an actor timer on one shard.
-      InvariantChecker* checker = invariant_checker_.get();
-      engine_->AddPeriodicTask(checker->period(), [checker] { checker->CheckNow(); });
-    } else {
-      invariant_checker_->Start();
-    }
+    // The checker reads every living cub's view — only safe with all shards
+    // quiesced, so it runs as a barrier task instead of an actor timer.
+    InvariantChecker* checker = invariant_checker_.get();
+    engine_->AddPeriodicTask(checker->period(), [checker] { checker->CheckNow(); });
   }
 }
 
 void TigerSystem::EnableNetFaultPlan() {
   if (!net_fault_plan_) {
-    net_fault_plan_ = std::make_unique<NetFaultPlan>(rng_.Fork(), fault_sink());
+    net_fault_plan_ = std::make_unique<NetFaultPlan>(rng_.Fork(), &fault_stats_);
     net_->SetFaultPlan(net_fault_plan_.get());
-    if (engine_) {
+    if (sharded()) {
       net_fault_plan_->SetShardTopology(engine_->shards());
       NetFaultPlan* plan = net_fault_plan_.get();
       engine_->AddBarrierHook([plan] { plan->ArmPendingAnchors(); });
@@ -158,7 +156,7 @@ void TigerSystem::EnableNetFaultPlan() {
 
 void TigerSystem::EnableBackupController() {
   if (!backup_controller_) {
-    backup_controller_ = std::make_unique<Controller>(&sim_, &config_, catalog_.get(),
+    backup_controller_ = std::make_unique<Controller>(&sim(), &config_, catalog_.get(),
                                                       layout_.get(), net_.get());
     backup_controller_->SetAddressBook(&addresses_);
     backup_controller_->BecomeStandbyFor(addresses_.controller);
@@ -166,61 +164,46 @@ void TigerSystem::EnableBackupController() {
 }
 
 void TigerSystem::EnableTracing(size_t ring_capacity) {
-  if (tracer_ || !shard_tracers_.empty()) {
+  if (!tracers_.empty()) {
     return;
   }
   metrics_ = std::make_unique<MetricsRegistry>();
-  if (engine_) {
-    // Sharded: one tracer + registry per shard so actors record without
-    // cross-shard contention. Every shard tracer registers the *same* track
-    // list in the same order, so track ids are identical everywhere and the
-    // merged export renders exactly like the serial layout. Flow ids are
-    // disambiguated by a per-shard base in the top 16 bits (shard 0 of a
-    // serial run keeps base 0, preserving historical ids).
-    const int shards = engine_->shards();
-    for (int s = 0; s < shards; ++s) {
-      Tracer::Options opt{ring_capacity, true};
+  // One tracer per shard so actors record without cross-shard contention.
+  // Every tracer registers the *same* track list in the same order (network
+  // first, then cubs, then disks), so track ids are identical everywhere and
+  // the merged export renders exactly like a one-shard layout. Sharded runs
+  // disambiguate flow ids with a per-shard base in the top 16 bits and give
+  // each shard its own registry, folded at snapshots.
+  const int shards = engine_->shards();
+  for (int s = 0; s < shards; ++s) {
+    Tracer::Options opt{ring_capacity, true};
+    if (sharded()) {
       opt.flow_id_base = static_cast<uint64_t>(s + 1) << 48;
-      shard_tracers_.push_back(std::make_unique<Tracer>(&engine_->shard(s), opt));
       shard_metrics_.push_back(std::make_unique<MetricsRegistry>());
     }
-    auto register_all = [&](const std::string& name) {
-      TraceTrackId track{};
-      for (auto& tracer : shard_tracers_) {
-        track = tracer->RegisterTrack(name);
-      }
-      return track;
-    };
-    const TraceTrackId net_track = register_all("net");
-    for (int s = 0; s < shards; ++s) {
-      net_->SetShardTrace(s, shard_tracers_[static_cast<size_t>(s)].get(), net_track,
-                          shard_metrics_[static_cast<size_t>(s)].get());
-    }
-    for (auto& cub : cubs_) {
-      const TraceTrackId track = register_all("cub" + std::to_string(cub->id().value()));
-      const size_t shard = static_cast<size_t>(cub_shards_[cub->id().value()]);
-      cub->SetTrace(shard_tracers_[shard].get(), track, shard_metrics_[shard].get());
-    }
-    for (auto& disk : disks_) {
-      const TraceTrackId track = register_all("disk" + std::to_string(disk->id().value()));
-      const CubId owner = config_.shape.CubOfDisk(disk->id());
-      const size_t shard = static_cast<size_t>(cub_shards_[owner.value()]);
-      disk->SetTrace(shard_tracers_[shard].get(), track);
-    }
-    return;
+    tracers_.push_back(std::make_unique<Tracer>(&engine_->shard(s), opt));
   }
-  tracer_ = std::make_unique<Tracer>(&sim_, Tracer::Options{ring_capacity, true});
-  // Track registration order fixes track ids (and thus the rendered track
-  // layout): network first, then cubs, then disks.
-  const TraceTrackId net_track = tracer_->RegisterTrack("net");
-  net_->SetTrace(tracer_.get(), net_track, metrics_.get());
+  auto register_all = [&](const std::string& name) {
+    TraceTrackId track{};
+    for (auto& tracer : tracers_) {
+      track = tracer->RegisterTrack(name);
+    }
+    return track;
+  };
+  const TraceTrackId net_track = register_all("net");
+  for (int s = 0; s < shards; ++s) {
+    net_->SetShardTrace(s, tracers_[static_cast<size_t>(s)].get(), net_track,
+                        ShardMetrics(static_cast<size_t>(s)));
+  }
   for (auto& cub : cubs_) {
-    const TraceTrackId track = tracer_->RegisterTrack("cub" + std::to_string(cub->id().value()));
-    cub->SetTrace(tracer_.get(), track, metrics_.get());
+    const TraceTrackId track = register_all("cub" + std::to_string(cub->id().value()));
+    const size_t shard = static_cast<size_t>(cub_shards_[cub->id().value()]);
+    cub->SetTrace(tracers_[shard].get(), track, ShardMetrics(shard));
   }
   for (auto& disk : disks_) {
-    const TraceTrackId track = tracer_->RegisterTrack("disk" + std::to_string(disk->id().value()));
-    disk->SetTrace(tracer_.get(), track);
+    const TraceTrackId track = register_all("disk" + std::to_string(disk->id().value()));
+    const CubId owner = config_.shape.CubOfDisk(disk->id());
+    disk->SetTrace(tracers_[static_cast<size_t>(cub_shards_[owner.value()])].get(), track);
   }
 }
 
@@ -252,12 +235,8 @@ void TigerSystem::EnableProfiling() {
   if (profiling_enabled()) {
     return;
   }
-  if (engine_) {
-    engine_profiler_ = std::make_unique<ShardEngineProfiler>(engine_->shards());
-    engine_->SetProfiler(engine_profiler_.get());
-  } else {
-    serial_profiler_ = std::make_unique<Profiler>();
-  }
+  profiler_ = std::make_unique<ShardEngineProfiler>(engine_->shards());
+  engine_->SetProfiler(profiler_.get());
 }
 
 void TigerSystem::CaptureProfileSnapshot(TimePoint now) {
@@ -268,9 +247,7 @@ void TigerSystem::CaptureProfileSnapshot(TimePoint now) {
   snap.sim_us = now.micros();
   for (int c = 0; c < kProfCategoryCount; ++c) {
     const ProfCategory cat = static_cast<ProfCategory>(c);
-    const Profiler::Bucket b = engine_profiler_
-                                   ? engine_profiler_->Aggregated(cat)
-                                   : serial_profiler_->bucket(cat);
+    const Profiler::Bucket b = profiler_->Aggregated(cat);
     // Timing is stride-sampled; store the scaled estimate so the Perfetto
     // counter tracks read in (approximate) real milliseconds.
     snap.category_ticks[c] =
@@ -279,93 +256,78 @@ void TigerSystem::CaptureProfileSnapshot(TimePoint now) {
                                                static_cast<double>(b.count) /
                                                static_cast<double>(b.samples));
   }
-  if (engine_profiler_) {
-    // The kEngine* buckets live in the driver's window accounting, not in any
-    // shard profiler.
-    const ShardEngineProfiler::EngineStats& es = engine_profiler_->engine();
-    snap.category_ticks[static_cast<int>(ProfCategory::kEngineBusy)] =
-        es.driver_busy_ticks;
-    snap.category_ticks[static_cast<int>(ProfCategory::kEngineBarrierWait)] =
-        es.barrier_wait_ticks;
-    snap.category_ticks[static_cast<int>(ProfCategory::kEngineMergePosts)] =
-        es.merge_posts_ticks;
-    snap.category_ticks[static_cast<int>(ProfCategory::kEngineJournalReplay)] =
-        es.journal_replay_ticks;
-    snap.category_ticks[static_cast<int>(ProfCategory::kEnginePeriodicTasks)] =
-        es.periodic_tasks_ticks;
-  }
+  // The kEngine* buckets live in the driver's window accounting, not in any
+  // shard profiler.
+  const ShardEngineProfiler::EngineStats& es = profiler_->engine();
+  snap.category_ticks[static_cast<int>(ProfCategory::kEngineBusy)] = es.driver_busy_ticks;
+  snap.category_ticks[static_cast<int>(ProfCategory::kEngineBarrierWait)] =
+      es.barrier_wait_ticks;
+  snap.category_ticks[static_cast<int>(ProfCategory::kEngineMergePosts)] = es.merge_posts_ticks;
+  snap.category_ticks[static_cast<int>(ProfCategory::kEngineJournalReplay)] =
+      es.journal_replay_ticks;
+  snap.category_ticks[static_cast<int>(ProfCategory::kEnginePeriodicTasks)] =
+      es.periodic_tasks_ticks;
   profile_snapshots_.push_back(snap);
 }
 
 ProfileData TigerSystem::BuildProfileData() const {
   ProfileData data;
-  data.engine = engine_ ? "sharded" : "serial";
-  data.shards = engine_ ? engine_->shards() : 1;
-  data.threads = engine_ ? engine_->threads() : 1;
-  data.window_us = engine_ ? engine_->window().micros() : 0;
+  data.engine = sharded() ? "sharded" : "serial";
+  data.shards = engine_->shards();
+  data.threads = engine_->threads();
+  data.window_us = sharded() ? engine_->window().micros() : 0;
   data.cubs = config_.shape.num_cubs;
   data.seed = seed_;
   data.processed_events = processed_events();
-  data.clamped_posts = engine_ ? engine_->clamped_posts() : 0;
+  data.clamped_posts = engine_->clamped_posts();
   data.total_run_ns = profile_wall_ns_;
   data.ns_per_tick = NsPerTick();
-  if (engine_profiler_) {
-    for (int c = 0; c < kProfCategoryCount; ++c) {
-      data.categories[c] = engine_profiler_->Aggregated(static_cast<ProfCategory>(c));
-    }
-    // Engine-level categories come from the driver's barrier accounting:
-    // count = the deterministic volume measure for that phase, ticks = the
-    // measured driver time. Driver timing is sample-complete (every window
-    // is measured), so samples == count — render scale 1.
-    const ShardEngineProfiler::EngineStats& es = engine_profiler_->engine();
-    data.engine_stats = es;
-    data.categories[static_cast<int>(ProfCategory::kEngineBusy)] = {
-        es.windows, es.windows, es.driver_busy_ticks};
-    data.categories[static_cast<int>(ProfCategory::kEngineBarrierWait)] = {
-        es.windows, es.windows, es.barrier_wait_ticks};
-    data.categories[static_cast<int>(ProfCategory::kEngineMergePosts)] = {
-        es.posts_merged, es.posts_merged, es.merge_posts_ticks};
-    data.categories[static_cast<int>(ProfCategory::kEngineJournalReplay)] = {
-        es.journal_entries, es.journal_entries, es.journal_replay_ticks};
-    data.categories[static_cast<int>(ProfCategory::kEnginePeriodicTasks)] = {
-        es.periodic_fires + es.hook_runs, es.periodic_fires + es.hook_runs,
-        es.periodic_tasks_ticks};
-    const int shards = engine_profiler_->shards();
-    for (int s = 0; s < shards; ++s) {
-      data.per_shard_events.push_back(engine_->shard(s).processed_events());
-      data.per_shard_busy_ticks.push_back(engine_profiler_->shard_stats(s).busy_ticks);
-    }
-  } else if (serial_profiler_) {
-    for (int c = 0; c < kProfCategoryCount; ++c) {
-      data.categories[c] = serial_profiler_->bucket(static_cast<ProfCategory>(c));
-    }
-    data.per_shard_events.push_back(sim_.processed_events());
-    data.per_shard_busy_ticks.push_back(profile_wall_ticks_);
+  if (!profiling_enabled()) {
+    return data;
   }
-  if (profiling_enabled()) {
-    // kTimerDispatch has no scope of its own (src/sim/simulator.cc): its
-    // count is the dispatched-event total and its self time is the residual
-    // of measured busy time after the finer dispatch-level categories'
-    // scaled estimates — heap pops, slot recycling, and callback work
-    // nothing finer claims.
-    double busy_ticks = 0;
-    for (uint64_t t : data.per_shard_busy_ticks) {
-      busy_ticks += static_cast<double>(t);
-    }
-    double finer_ticks = 0;
-    for (int c = static_cast<int>(ProfCategory::kMsgHop);
-         c <= static_cast<int>(ProfCategory::kQosAudit); ++c) {
-      const Profiler::Bucket& b = data.categories[c];
-      if (b.samples > 0) {
-        finer_ticks += static_cast<double>(b.self_ticks) *
-                       static_cast<double>(b.count) / static_cast<double>(b.samples);
-      }
-    }
-    const double residual = busy_ticks > finer_ticks ? busy_ticks - finer_ticks : 0;
-    data.categories[static_cast<int>(ProfCategory::kTimerDispatch)] = {
-        data.processed_events, data.processed_events,
-        static_cast<uint64_t>(residual + 0.5)};
+  for (int c = 0; c < kProfCategoryCount; ++c) {
+    data.categories[c] = profiler_->Aggregated(static_cast<ProfCategory>(c));
   }
+  // Engine-level categories come from the driver's barrier accounting:
+  // count = the deterministic volume measure for that phase, ticks = the
+  // measured driver time. Driver timing is sample-complete (every window is
+  // measured), so samples == count — render scale 1.
+  const ShardEngineProfiler::EngineStats& es = profiler_->engine();
+  data.engine_stats = es;
+  data.categories[static_cast<int>(ProfCategory::kEngineBusy)] = {
+      es.windows, es.windows, es.driver_busy_ticks};
+  data.categories[static_cast<int>(ProfCategory::kEngineBarrierWait)] = {
+      es.windows, es.windows, es.barrier_wait_ticks};
+  data.categories[static_cast<int>(ProfCategory::kEngineMergePosts)] = {
+      es.posts_merged, es.posts_merged, es.merge_posts_ticks};
+  data.categories[static_cast<int>(ProfCategory::kEngineJournalReplay)] = {
+      es.journal_entries, es.journal_entries, es.journal_replay_ticks};
+  data.categories[static_cast<int>(ProfCategory::kEnginePeriodicTasks)] = {
+      es.periodic_fires + es.hook_runs, es.periodic_fires + es.hook_runs,
+      es.periodic_tasks_ticks};
+  double busy_ticks = 0;
+  for (int s = 0; s < engine_->shards(); ++s) {
+    data.per_shard_events.push_back(engine_->shard(s).processed_events());
+    data.per_shard_busy_ticks.push_back(profiler_->shard_stats(s).busy_ticks);
+    busy_ticks += static_cast<double>(profiler_->shard_stats(s).busy_ticks);
+  }
+  // kTimerDispatch has no scope of its own (src/sim/simulator.cc): its count
+  // is the dispatched-event total and its self time is the residual of
+  // measured busy time after the finer dispatch-level categories' scaled
+  // estimates — heap pops, slot recycling, and callback work nothing finer
+  // claims.
+  double finer_ticks = 0;
+  for (int c = static_cast<int>(ProfCategory::kMsgHop);
+       c <= static_cast<int>(ProfCategory::kQosAudit); ++c) {
+    const Profiler::Bucket& b = data.categories[c];
+    if (b.samples > 0) {
+      finer_ticks += static_cast<double>(b.self_ticks) * static_cast<double>(b.count) /
+                     static_cast<double>(b.samples);
+    }
+  }
+  const double residual = busy_ticks > finer_ticks ? busy_ticks - finer_ticks : 0;
+  data.categories[static_cast<int>(ProfCategory::kTimerDispatch)] = {
+      data.processed_events, data.processed_events, static_cast<uint64_t>(residual + 0.5)};
   return data;
 }
 
@@ -376,30 +338,13 @@ std::string TigerSystem::ProfileCountsJson() const {
 }
 
 bool TigerSystem::WriteProfile(const std::string& path) const {
-  if (!profiling_enabled()) {
-    return false;
-  }
-  const std::string json = ProfileJson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  return written == json.size();
+  return profiling_enabled() && WriteTextFile(path, ProfileJson());
 }
 
 void TigerSystem::SetAuditObserver(AuditObserver* auditor) {
   audit_observer_ = auditor;
-  AuditObserver* sink = auditor;
-  if (engine_ && auditor != nullptr) {
-    audit_relay_ = std::make_unique<AuditObserverRelay>(engine_.get(), auditor);
-    sink = audit_relay_.get();
-  } else {
-    audit_relay_.reset();
-  }
   for (auto& cub : cubs_) {
-    cub->SetAuditObserver(sink);
+    cub->SetAuditObserver(auditor);
   }
 }
 
@@ -446,24 +391,6 @@ void TigerSystem::CaptureFlightCheckpoint(TimePoint now) {
   ckpt->failed_cubs = failed;
 }
 
-void TigerSystem::EvaluateSlo() {
-  slo_monitor_->Evaluate(engine_ ? engine_->Now() : sim_.Now());
-}
-
-void TigerSystem::ScheduleCheckpointTick() {
-  sim_.ScheduleAfter(flight_recorder_->options().checkpoint_cadence, [this] {
-    CaptureFlightCheckpoint(sim_.Now());
-    ScheduleCheckpointTick();
-  });
-}
-
-void TigerSystem::ScheduleSloTick() {
-  sim_.ScheduleAfter(slo_monitor_->options().eval_cadence, [this] {
-    EvaluateSlo();
-    ScheduleSloTick();
-  });
-}
-
 bool TigerSystem::TriggerIncident(const std::string& reason) { return DumpIncident(reason); }
 
 bool TigerSystem::DumpIncident(const std::string& reason) {
@@ -474,7 +401,7 @@ bool TigerSystem::DumpIncident(const std::string& reason) {
     ++incidents_suppressed_;
     return false;
   }
-  const TimePoint now = engine_ ? engine_->Now() : sim_.Now();
+  const TimePoint now = engine_->Now();
   std::string parent = incident_dir_;
   if (parent.empty()) {
     const char* env = std::getenv("TIGER_ARTIFACT_DIR");
@@ -484,10 +411,9 @@ bool TigerSystem::DumpIncident(const std::string& reason) {
                           std::to_string(incident_dirs_.size());
 
   std::vector<IncidentFile> files;
-  if (flight_recorder_ != nullptr && (tracer_ != nullptr || !shard_tracers_.empty())) {
+  if (flight_recorder_ != nullptr && !tracers_.empty()) {
     const std::vector<TraceEvent> window = flight_recorder_->WindowEvents();
-    const std::vector<std::string> names =
-        engine_ ? shard_tracers_[0]->TrackNames() : tracer_->TrackNames();
+    const std::vector<std::string> names = tracers_[0]->TrackNames();
     // Dropped = everything recorded that the window no longer holds, whether
     // overwritten by the capacity bound or aged past the retention horizon.
     const uint64_t dropped = flight_recorder_->recorded() - window.size();
@@ -524,8 +450,8 @@ bool TigerSystem::DumpIncident(const std::string& reason) {
   manifest.sim_time_us = now.micros();
   manifest.seed = seed_;
   manifest.cubs = config_.shape.num_cubs;
-  manifest.shards = engine_ ? engine_->shards() : 1;
-  manifest.engine = engine_ ? "sharded" : "serial";
+  manifest.shards = engine_->shards();
+  manifest.engine = sharded() ? "sharded" : "serial";
   if (slo_monitor_ != nullptr) {
     manifest.slo_json = slo_monitor_->StateJson();
   }
@@ -588,7 +514,7 @@ void TigerSystem::SnapshotMetrics(TimePoint a, TimePoint b) {
   if (!metrics_) {
     return;
   }
-  if (engine_) {
+  if (sharded()) {
     FoldShardMetrics();
   }
   MetricsRegistry& m = *metrics_;
@@ -642,13 +568,13 @@ void TigerSystem::SnapshotMetrics(TimePoint a, TimePoint b) {
   // Ring wrap-around loses evidence from every offline consumer (TextDump,
   // ChromeJson, the golden diffs); surface the loss so nobody trusts a
   // truncated trace silently.
-  if (tracer_ || !shard_tracers_.empty()) {
+  if (!tracers_.empty()) {
     m.Counter("trace.dropped_events") = static_cast<int64_t>(TraceDropped());
   }
 }
 
 bool TigerSystem::WriteChromeTrace(const std::string& path) const {
-  if (tracer_ == nullptr && shard_tracers_.empty()) {
+  if (tracers_.empty()) {
     return false;
   }
   // Counter tracks from the sampler and the auditor's lineage flow arrows
@@ -663,44 +589,26 @@ bool TigerSystem::WriteChromeTrace(const std::string& path) const {
     // counters (pid 1): per-interval milliseconds spent in each category.
     extra += ProfilerChromeCounterEvents(profile_snapshots_, NsPerTick());
   }
-  if (tracer_ != nullptr) {
-    return tracer_->WriteChromeJson(path, extra);
-  }
-  const std::string json =
-      Tracer::ChromeJsonOf(MergedTraceEvents(), shard_tracers_[0]->TrackNames(), extra);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  return written == json.size();
+  return WriteTextFile(
+      path, Tracer::ChromeJsonOf(MergedTraceEvents(), tracers_[0]->TrackNames(), extra));
 }
 
 void TigerSystem::Start() {
   for (auto& cub : cubs_) {
     cub->Start();
   }
+  // Observers poll as barrier tasks, where every shard is quiesced; with
+  // several shards the cadences are ms multiples, so dues land on barriers.
+  // Registration order is barrier order: the sampler, then checkpoints
+  // before SLO evaluation, so an eval that dumps an incident at T sees the
+  // T checkpoint already captured.
   if (timeseries_) {
-    if (engine_) {
-      // Sampling must observe all shards quiesced; run it as a barrier task
-      // (the interval is a ms multiple, so dues land exactly on barriers).
-      TimeSeriesSampler* sampler = timeseries_.get();
-      engine_->AddPeriodicTask(timeseries_interval_, [sampler] { sampler->SampleNow(); });
-    } else {
-      timeseries_->Start();
-    }
+    TimeSeriesSampler* sampler = timeseries_.get();
+    engine_->AddPeriodicTask(timeseries_interval_, [sampler] { sampler->SampleNow(); });
   }
-  // Checkpoints before SLO evaluation (registration order = barrier order,
-  // timer order serially): an eval that dumps an incident at T sees the T
-  // checkpoint already captured.
   if (flight_recorder_) {
-    if (engine_) {
-      engine_->AddPeriodicTask(flight_recorder_->options().checkpoint_cadence,
-                               [this] { CaptureFlightCheckpoint(engine_->Now()); });
-    } else {
-      ScheduleCheckpointTick();
-    }
+    engine_->AddPeriodicTask(flight_recorder_->options().checkpoint_cadence,
+                             [this] { CaptureFlightCheckpoint(engine_->Now()); });
   }
   if (slo_monitor_) {
     // Breach probes poll the run's oracles. Registered here, not at enable
@@ -723,21 +631,14 @@ void TigerSystem::Start() {
       slo_monitor_->AddBreachProbe("audit_divergence",
                                    [auditor] { return auditor->FatalDivergences(); });
     }
-    if (engine_) {
-      engine_->AddPeriodicTask(slo_monitor_->options().eval_cadence, [this] { EvaluateSlo(); });
-    } else {
-      ScheduleSloTick();
-    }
+    engine_->AddPeriodicTask(slo_monitor_->options().eval_cadence,
+                             [this] { slo_monitor_->Evaluate(engine_->Now()); });
   }
 }
 
 void TigerSystem::RunUntil(TimePoint t) {
   if (!profiling_enabled()) {
-    if (engine_) {
-      engine_->RunUntil(t);
-    } else {
-      sim_.RunUntil(t);
-    }
+    engine_->RunUntil(t);
     return;
   }
   // Time the run with both clocks: the ratio calibrates every tick field to
@@ -745,12 +646,7 @@ void TigerSystem::RunUntil(TimePoint t) {
   // measured under exactly the load it will convert).
   const auto wall_start = std::chrono::steady_clock::now();
   const uint64_t ticks_start = ProfNowTicks();
-  if (engine_) {
-    engine_->RunUntil(t);
-  } else {
-    ScopedProfilerInstall install(serial_profiler_.get());
-    sim_.RunUntil(t);
-  }
+  engine_->RunUntil(t);
   profile_wall_ticks_ += ProfNowTicks() - ticks_start;
   profile_wall_ns_ += static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -758,13 +654,9 @@ void TigerSystem::RunUntil(TimePoint t) {
           .count());
 }
 
-void TigerSystem::RunFor(Duration d) {
-  RunUntil((engine_ ? engine_->Now() : sim_.Now()) + d);
-}
+void TigerSystem::RunFor(Duration d) { RunUntil(engine_->Now() + d); }
 
-uint64_t TigerSystem::processed_events() const {
-  return engine_ ? engine_->processed_events() : sim_.processed_events();
-}
+uint64_t TigerSystem::processed_events() const { return engine_->processed_events(); }
 
 void TigerSystem::SetTraceSink(TraceSink* sink) {
   user_trace_sink_ = sink;
@@ -786,23 +678,24 @@ void TigerSystem::InstallTraceSink() {
     }
   }
 #endif
-  if (!engine_) {
-    TIGER_CHECK(tracer_ != nullptr) << "SetTraceSink before EnableTracing";
-    tracer_->SetSink(effective);
+  TIGER_CHECK(!tracers_.empty()) << "SetTraceSink before EnableTracing";
+  if (!sharded()) {
+    // One shard records in global order already: the sink sees events as
+    // they happen, with nothing to merge.
+    tracers_[0]->SetSink(effective);
     return;
   }
-  TIGER_CHECK(!shard_tracers_.empty()) << "SetTraceSink before EnableTracing";
   trace_sink_ = effective;
   if (effective != nullptr && trace_buffers_.empty()) {
     // Lazily interpose the per-shard buffers (and their barrier drain) only
     // when a live sink exists, so un-audited runs never buffer.
-    for (size_t s = 0; s < shard_tracers_.size(); ++s) {
-      trace_buffers_.push_back(std::make_unique<ShardTraceBuffer>());
+    for (size_t s = 0; s < tracers_.size(); ++s) {
+      trace_buffers_.push_back(std::make_unique<TraceBuffer>());
     }
     engine_->AddBarrierHook([this] { DrainTraceBuffers(); });
   }
-  for (size_t s = 0; s < shard_tracers_.size(); ++s) {
-    shard_tracers_[s]->SetSink(effective != nullptr ? trace_buffers_[s].get() : nullptr);
+  for (size_t s = 0; s < tracers_.size(); ++s) {
+    tracers_[s]->SetSink(effective != nullptr ? trace_buffers_[s].get() : nullptr);
   }
 }
 
@@ -827,43 +720,35 @@ void TigerSystem::DrainTraceBuffers() {
 }
 
 std::vector<TraceEvent> TigerSystem::MergedTraceEvents() const {
+  if (tracers_.size() == 1) {
+    return tracers_[0]->MergedEvents();  // Already in global recording order.
+  }
   std::vector<TraceEvent> merged;
-  if (engine_) {
-    for (const auto& tracer : shard_tracers_) {
-      const std::vector<TraceEvent> events = tracer->MergedEvents();
-      merged.insert(merged.end(), events.begin(), events.end());
-    }
-    std::stable_sort(merged.begin(), merged.end(),
-                     [](const TraceEvent& a, const TraceEvent& b) { return a.when < b.when; });
-    for (size_t i = 0; i < merged.size(); ++i) {
-      merged[i].seq = i + 1;
-    }
-  } else if (tracer_) {
-    merged = tracer_->MergedEvents();
+  for (const auto& tracer : tracers_) {
+    const std::vector<TraceEvent> events = tracer->MergedEvents();
+    merged.insert(merged.end(), events.begin(), events.end());
+  }
+  std::stable_sort(merged.begin(), merged.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) { return a.when < b.when; });
+  for (size_t i = 0; i < merged.size(); ++i) {
+    merged[i].seq = i + 1;
   }
   return merged;
 }
 
 uint64_t TigerSystem::TraceDropped() const {
-  if (engine_) {
-    uint64_t dropped = 0;
-    for (const auto& tracer : shard_tracers_) {
-      dropped += tracer->dropped();
-    }
-    return dropped;
+  uint64_t dropped = 0;
+  for (const auto& tracer : tracers_) {
+    dropped += tracer->dropped();
   }
-  return tracer_ ? tracer_->dropped() : 0;
+  return dropped;
 }
 
 std::string TigerSystem::TraceTextDump() const {
-  if (engine_) {
-    if (shard_tracers_.empty()) {
-      return std::string();
-    }
-    return Tracer::TextDumpOf(MergedTraceEvents(), shard_tracers_[0]->TrackNames(),
-                              TraceDropped());
+  if (tracers_.empty()) {
+    return std::string();
   }
-  return tracer_ ? tracer_->TextDump() : std::string();
+  return Tracer::TextDumpOf(MergedTraceEvents(), tracers_[0]->TrackNames(), TraceDropped());
 }
 
 void TigerSystem::FailControllerNow() {
@@ -908,7 +793,8 @@ void TigerSystem::ReviveCubNow(CubId cub_id) {
   // Restart() bumps the actor epoch: timers scheduled before the crash can
   // never fire into the rebooted state.
   cubs_[cub_id.value()]->Restart();
-  fault_sink()->RecordCubRejoin(SimForCub(cub_id.value())->Now(), cub_id);
+  ShardEngine::JournalCall(&fault_stats_, &FaultStats::RecordCubRejoin,
+                           SimForCub(cub_id.value())->Now(), cub_id);
   cubs_[cub_id.value()]->Rejoin();
 }
 
@@ -980,8 +866,7 @@ int TigerSystem::BootstrapStreams(int count, NetAddress sink, FileId file,
     CubId backup = config_.shape.NextCub(owner);
     cubs_[backup.value()]->BootstrapRecord(record);
     if (oracle_) {
-      // Driver context: write the real oracle directly (a relay would just
-      // apply immediately anyway).
+      // Driver context: nothing to journal against.
       oracle_->OnInsert(slot, record.viewer, record.instance, sim().Now());
     }
     ++made;

@@ -1,8 +1,15 @@
 // TigerSystem: builds and owns one simulated Tiger server.
 //
-// Owns the simulator, the switched network, the content catalog and layout,
-// every cub with its disks, and the controller. Provides fault injection and
-// the aggregate metrics the benches report.
+// Owns the event engine, the switched network, the content catalog and
+// layout, every cub with its disks, and the controller. Provides fault
+// injection and the aggregate metrics the benches report.
+//
+// There is one engine path (DESIGN.md §6h): a ShardEngine with
+// config.sim_shards shards, where sim_shards == 1 is the serial run. Actors
+// write shared observers through ShardEngine::JournalAppend, and every
+// observer that polls on a cadence (invariant checker, auditor, time-series
+// sampler, flight-recorder checkpoints, SLO evaluation) is an engine
+// periodic task, so it always sees a quiesced, barrier-consistent instant.
 
 #ifndef SRC_CORE_SYSTEM_H_
 #define SRC_CORE_SYSTEM_H_
@@ -31,7 +38,6 @@
 #include "src/obs/flight_recorder.h"
 #include "src/obs/slo_monitor.h"
 #include "src/schedule/geometry.h"
-#include "src/core/shard_relays.h"
 #include "src/sim/shard_engine.h"
 #include "src/sim/simulator.h"
 #include "src/trace/metrics.h"
@@ -82,16 +88,14 @@ class TigerSystem {
                         size_t ring_capacity = 4096);
 
   // Attaches the self-profiler (src/trace/profiler.h): per-category exclusive
-  // CPU time and exact event counts, plus per-shard/barrier accounting in
-  // sharded runs. Never changes logical execution — a profiled run's
+  // CPU time and exact event counts, plus per-shard and barrier accounting.
+  // Never changes logical execution — a profiled run's
   // trace/timeseries dumps are byte-identical to an unprofiled run's. Call
   // before running; idempotent. Chrome counter tracks additionally require
   // EnableTimeSeries (snapshots piggyback on the sampler cadence so profiling
   // itself schedules nothing).
   void EnableProfiling();
-  bool profiling_enabled() const {
-    return serial_profiler_ != nullptr || engine_profiler_ != nullptr;
-  }
+  bool profiling_enabled() const { return profiler_ != nullptr; }
 
   // Renders the tiger-profile-v1 document (docs/EXPERIMENTS.md E18). Counts
   // are seed-deterministic and thread-count-invariant; times_ns is
@@ -114,8 +118,7 @@ class TigerSystem {
   // Attaches the online SLO burn-rate monitor over the QoS ledger. Breaches
   // (budget burns, or any enabled oracle firing) dump an incident bundle —
   // at most options.max_incidents per run. Call before Start(); evaluation
-  // runs barrier-aligned in sharded runs so results are sim_threads-
-  // invariant.
+  // is a barrier-aligned engine task, so results are sim_threads-invariant.
   void EnableSloMonitor(SloMonitor::Options options = {});
   SloMonitor* slo_monitor() { return slo_monitor_.get(); }
 
@@ -172,23 +175,23 @@ class TigerSystem {
   // must be long enough never to hit EOF during the run.
   int BootstrapStreams(int count, NetAddress sink, FileId file, int64_t bitrate_bps);
 
-  // --- running (serial or sharded; DESIGN.md §6h) ---
-  // With config.sim_shards == 1 these forward to the classic serial
-  // Simulator; with more shards they drive the conservative parallel engine.
-  // Callers (testbed, benches, tests) should prefer these over sim().RunX so
-  // one code path covers both engines.
+  // --- running (DESIGN.md §6h) ---
+  // The only way to advance the system: every shard, barrier tasks included.
   void RunUntil(TimePoint t);
   void RunFor(Duration d);
   uint64_t processed_events() const;
 
-  // Sharded-engine handle; nullptr in serial runs.
+  // The engine; never null. sharded() is true for more than one shard.
   ShardEngine* engine() { return engine_.get(); }
-  bool sharded() const { return engine_ != nullptr; }
+  bool sharded() const { return engine_->sharded(); }
 
   // --- accessors ---
-  // Serial runs: the one simulator. Sharded runs: shard 0's simulator (the
-  // driver-context clock — Now() is only meaningful between RunX calls).
-  Simulator& sim() { return engine_ ? engine_->shard(0) : sim_; }
+  // Shard 0's simulator: its clock and scheduler. The controller, standby,
+  // viewers and bootstrap sinks live there, so use it to read Now() between
+  // runs or to schedule driver events on shard 0. It is not a way to run the
+  // system — RunUntil/RunFor above advance every shard and fire the barrier
+  // tasks.
+  Simulator& sim() { return engine_->shard(0); }
   Network& net() { return *net_; }
   const TigerConfig& config() const { return config_; }
   const Catalog& catalog() const { return *catalog_; }
@@ -206,28 +209,28 @@ class TigerSystem {
   FaultStats& fault_stats() { return fault_stats_; }
   // Always-on per-viewer QoS ledger (src/stats/qos.h): cubs annotate causes,
   // viewer clients report observed glitches. Cheap enough to never gate.
+  // Reads are only meaningful in driver context, after a barrier.
   QosLedger& qos_ledger() { return qos_ledger_; }
   const QosLedger& qos_ledger() const { return qos_ledger_; }
-  // Writer-side handles for actors: the journaling relay in sharded runs, the
-  // real object in serial runs. Reads always go through the real accessors
-  // above (only meaningful in driver context, after a barrier).
-  QosLedger* qos_sink() { return qos_relay_ ? qos_relay_.get() : &qos_ledger_; }
-  FaultStats* fault_sink() { return fault_relay_ ? fault_relay_.get() : &fault_stats_; }
+  // The ledger handed to viewer clients (the same object; their writes go
+  // through ShardEngine::JournalAppend).
+  QosLedger* qos_sink() { return &qos_ledger_; }
   Rng& rng() { return rng_; }
-  // Serial runs: the one tracer. Sharded runs: shard 0's tracer (for track
-  // names and options; use MergedTraceEvents/TraceTextDump for event data).
-  Tracer* tracer() { return engine_ ? shard_tracers_[0].get() : tracer_.get(); }
+  // Shard 0's tracer, nullptr before EnableTracing. It holds every event of
+  // a one-shard run; sharded runs keep one tracer per shard, so use
+  // MergedTraceEvents/TraceTextDump for their event data.
+  Tracer* tracer() { return tracers_.empty() ? nullptr : tracers_[0].get(); }
   MetricsRegistry* metrics() { return metrics_.get(); }
   TimeSeriesSampler* timeseries() { return timeseries_.get(); }
 
   // Installs `sink` as the live trace-event consumer (the auditor's
-  // cross-check input). Serial runs set it directly on the tracer; sharded
+  // cross-check input). One shard sets it directly on the tracer; sharded
   // runs interpose per-shard buffers drained at every barrier in (when,
   // shard, record order) so the sink sees one thread-count-invariant stream.
   void SetTraceSink(TraceSink* sink);
 
   // All shards' trace events merged by (when, shard, per-shard order) and
-  // renumbered; in serial runs simply the tracer's merged ring contents.
+  // renumbered; for one shard simply the tracer's merged ring contents.
   std::vector<TraceEvent> MergedTraceEvents() const;
   // The canonical text rendering of the merged trace (golden-diff surface);
   // byte-identical across thread counts for a fixed shard count.
@@ -258,8 +261,13 @@ class TigerSystem {
   bool IsCubFailed(CubId cub) const { return failed_cubs_[cub.value()]; }
 
  private:
-  // Owner simulator for cub `c` (serial: the one sim; sharded: its shard's).
-  Simulator* SimForCub(size_t c);
+  // Owner simulator for cub `c` (its shard's).
+  Simulator* SimForCub(size_t c) { return &engine_->shard(cub_shards_[c]); }
+  // Registry shard `s`'s actors write: the global one for a single shard,
+  // a per-shard one (folded at snapshots) when sharded.
+  MetricsRegistry* ShardMetrics(size_t s) {
+    return sharded() ? shard_metrics_[s].get() : metrics_.get();
+  }
   // Assembles the ProfileData document (folds engine stats into the kEngine*
   // category buckets and calibrates ticks→ns from the measured run).
   ProfileData BuildProfileData() const;
@@ -279,15 +287,10 @@ class TigerSystem {
   // Barrier hook: drains every shard's trace buffer into trace_sink_.
   void DrainTraceBuffers();
   // Recomputes the effective tracer sink (user sink, recorder, or the
-  // fan-out of both) and installs it serial/sharded.
+  // fan-out of both) and installs it.
   void InstallTraceSink();
   // Fills one flight-recorder checkpoint from barrier-consistent state.
   void CaptureFlightCheckpoint(TimePoint now);
-  // One SLO evaluation tick (driver/barrier context).
-  void EvaluateSlo();
-  // Serial cadence drivers (self-rearming sim timers).
-  void ScheduleCheckpointTick();
-  void ScheduleSloTick();
   // Assembles and writes one tiger-incident-v1 bundle; false when capped or
   // nothing is enabled.
   bool DumpIncident(const std::string& reason);
@@ -295,20 +298,16 @@ class TigerSystem {
   TigerConfig config_;
   Rng rng_;
   uint64_t seed_;
-  Simulator sim_;
-  // Non-null iff config.sim_shards > 1. The engine owns the per-shard
-  // simulators; sim_ above is then unused (kept so serial stays zero-cost).
+  // Owns the per-shard simulators; declared first so every actor holding a
+  // Simulator* is destroyed before it.
   std::unique_ptr<ShardEngine> engine_;
   std::vector<int> cub_shards_;  // cub id -> owning shard (contiguous ring segments).
-  std::unique_ptr<QosLedgerRelay> qos_relay_;
-  std::unique_ptr<FaultStatsRelay> fault_relay_;
-  std::unique_ptr<OracleRelay> oracle_relay_;
-  std::unique_ptr<AuditObserverRelay> audit_relay_;
-  // Sharded tracing: one tracer + registry per shard (merged on export), and
-  // one barrier-drained buffer per shard when a live sink is installed.
-  std::vector<std::unique_ptr<Tracer>> shard_tracers_;
+  // Tracing: one tracer per shard (merged on export). Sharded runs add one
+  // registry per shard and, when a live sink is installed, one
+  // barrier-drained buffer per shard.
+  std::vector<std::unique_ptr<Tracer>> tracers_;
   std::vector<std::unique_ptr<MetricsRegistry>> shard_metrics_;
-  std::vector<std::unique_ptr<ShardTraceBuffer>> trace_buffers_;
+  std::vector<std::unique_ptr<TraceBuffer>> trace_buffers_;
   TraceSink* trace_sink_ = nullptr;       // Effective sink (may be the fan-out).
   TraceSink* user_trace_sink_ = nullptr;  // What SetTraceSink was given.
   // Black-box observability (DESIGN.md §6j).
@@ -324,12 +323,10 @@ class TigerSystem {
   // in steady state.
   std::vector<TraceEvent> trace_drain_scratch_;
   Duration timeseries_interval_;
-  // Self-profiling (EnableProfiling): exactly one of these is non-null when
-  // enabled — the flat accumulator for serial runs, the per-shard + barrier
-  // accounting bundle for sharded runs. Wall ns/ticks accumulate across Run*
-  // calls and calibrate the tick clock at render time.
-  std::unique_ptr<Profiler> serial_profiler_;
-  std::unique_ptr<ShardEngineProfiler> engine_profiler_;
+  // Self-profiling (EnableProfiling): per-shard buckets plus the engine's
+  // barrier accounting. Wall ns/ticks accumulate across Run* calls and
+  // calibrate the tick clock at render time.
+  std::unique_ptr<ShardEngineProfiler> profiler_;
   std::vector<ProfileSnapshot> profile_snapshots_;
   uint64_t profile_wall_ns_ = 0;
   uint64_t profile_wall_ticks_ = 0;
@@ -340,7 +337,6 @@ class TigerSystem {
   std::unique_ptr<ScheduleOracle> oracle_;
   std::unique_ptr<InvariantChecker> invariant_checker_;
   std::unique_ptr<NetFaultPlan> net_fault_plan_;
-  std::unique_ptr<Tracer> tracer_;
   std::unique_ptr<MetricsRegistry> metrics_;
   std::unique_ptr<TimeSeriesSampler> timeseries_;
   FaultStats fault_stats_;

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "src/sim/shard_engine.h"
+
 namespace tiger {
 
 void SimulatedDisk::SubmitRead(DiskZone zone, int64_t bytes, Completion done,
@@ -44,7 +46,8 @@ void SimulatedDisk::StartNext() {
   if (limp_window_.Contains(start)) {
     service = Duration::Micros(service.micros() * limp_num_ / limp_den_);
     if (fault_stats_ != nullptr) {
-      fault_stats_->RecordDiskFault(FaultStats::Kind::kLimpedRead, start, id_);
+      ShardEngine::JournalCall(fault_stats_, &FaultStats::RecordDiskFault,
+                               FaultStats::Kind::kLimpedRead, start, id_);
     }
   }
   // A media error is only reported after the drive has tried (and retried),
@@ -53,7 +56,8 @@ void SimulatedDisk::StartNext() {
   if (error_window_.Contains(start) && rng_.Bernoulli(error_probability_)) {
     ok = false;
     if (fault_stats_ != nullptr) {
-      fault_stats_->RecordDiskFault(FaultStats::Kind::kTransientDiskError, start, id_);
+      ShardEngine::JournalCall(fault_stats_, &FaultStats::RecordDiskFault,
+                               FaultStats::Kind::kTransientDiskError, start, id_);
     }
   }
   After(service, [this, start, ok, request = std::move(request)]() mutable {

@@ -133,13 +133,16 @@ NetFaultPlan::Decision NetFaultPlan::Apply(TimePoint now, FaultNetAddress src,
   }
   if (stats_ != nullptr) {
     if (decision.drop) {
-      stats_->RecordMessageFault(FaultStats::Kind::kMessageDropped, now, src, dst);
+      ShardEngine::JournalCall(stats_, &FaultStats::RecordMessageFault,
+                               FaultStats::Kind::kMessageDropped, now, src, dst);
     } else {
       if (decision.extra_delay > Duration::Zero()) {
-        stats_->RecordMessageFault(FaultStats::Kind::kMessageDelayed, now, src, dst);
+        ShardEngine::JournalCall(stats_, &FaultStats::RecordMessageFault,
+                                 FaultStats::Kind::kMessageDelayed, now, src, dst);
       }
       for (int i = 0; i < decision.duplicates; ++i) {
-        stats_->RecordMessageFault(FaultStats::Kind::kMessageDuplicated, now, src, dst);
+        ShardEngine::JournalCall(stats_, &FaultStats::RecordMessageFault,
+                                 FaultStats::Kind::kMessageDuplicated, now, src, dst);
       }
     }
   }

@@ -124,7 +124,7 @@ class NetFaultPlan {
   // deterministic event order, so decisions are thread-count-invariant), and
   // anchor arming is deferred: first sightings collect per shard during a
   // window and arm at the next barrier via ArmPendingAnchors(), taking the
-  // earliest sighting across shards. Unlike serial mode the anchoring message
+  // earliest sighting across shards. Unlike one shard, the anchoring message
   // itself is therefore *not* covered by a rel_start-zero window — a rule
   // window starts at the first barrier after the sighting. That shift is
   // identical for every thread count, which is the property the sharded
@@ -148,8 +148,8 @@ class NetFaultPlan {
   std::map<int, TimePoint> anchors_;
   Rng rng_;
   FaultStats* stats_;
-  // Sharded mode: per-shard dice and pending anchor sightings. Empty in
-  // serial mode.
+  // Sharded mode: per-shard dice and pending anchor sightings. Empty for a
+  // one-shard run.
   std::vector<Rng> shard_rngs_;
   std::vector<std::vector<std::pair<int, TimePoint>>> pending_anchors_;
 };

@@ -157,7 +157,7 @@ class Network : public MessageBus {
   // shard-local) and deliveries route through the engine so they execute on
   // the destination node's shard, merged deterministically at barriers.
   // Nodes attached after this call default to shard 0. The jitter Rng forks
-  // per shard here, so serial runs (no topology) keep the original stream.
+  // per shard here, so one-shard runs (no topology) keep the original stream.
   void SetShardTopology(ShardEngine* engine, std::vector<int> node_shards);
 
   // Per-shard trace context (sharded mode): shard `i`'s sends and deliveries
@@ -199,7 +199,7 @@ class Network : public MessageBus {
     std::map<NetAddress, TimePoint> last_delivery;
   };
 
-  // One shard's observability hooks; serial mode uses entry 0 only.
+  // One shard's observability hooks; a one-shard run uses entry 0 only.
   struct TraceCtx {
     Tracer* tracer = nullptr;
     TraceTrackId track = 0;
@@ -213,7 +213,7 @@ class Network : public MessageBus {
   int ShardOfNode(NetAddress addr) const {
     return addr < node_shards_.size() ? node_shards_[addr] : 0;
   }
-  // The loop that owns `addr`'s endpoint (the serial sim when unsharded).
+  // The loop that owns `addr`'s endpoint (shard 0's sim when unsharded).
   Simulator* SimOf(NetAddress addr) {
     return engine_ != nullptr ? &engine_->shard(ShardOfNode(addr)) : sim_;
   }
@@ -232,7 +232,7 @@ class Network : public MessageBus {
   Rng rng_;
   NetFaultPlan* fault_plan_ = nullptr;
   std::vector<Node> nodes_;
-  // Sharded mode; empty/null for serial runs.
+  // Sharded mode; empty/null for one-shard runs.
   ShardEngine* engine_ = nullptr;
   std::vector<int> node_shards_;
   std::vector<Rng> shard_rngs_;

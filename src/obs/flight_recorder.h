@@ -19,7 +19,8 @@
 // same 4MB ring cost ~14%; the streaming version ~3% median, gated at 5% by
 // bench/sim_microbench). The retention horizon is applied when a dump
 // renders the window — the stream arrives in nondecreasing sim-time order
-// (serial recording order; sharded barrier drains), so the filter is exact.
+// (one shard's recording order; sharded barrier drains), so the filter is
+// exact.
 //
 // Everything the recorder exports is derived from the logical schedule:
 // same seed + same shard count ⇒ byte-identical window dumps and checkpoint
@@ -56,9 +57,9 @@ class FlightRecorder final : public TraceSink {
     // Hard cap on retained events; beyond it the oldest are overwritten even
     // inside the retention window (counted, so dumps say they truncated).
     size_t capacity = 65536;
-    // State-checkpoint cadence. TigerSystem drives this from a barrier-
-    // aligned periodic task (sharded) or a sim timer (serial); keep it a
-    // whole-millisecond multiple so dues land exactly on shard barriers.
+    // State-checkpoint cadence. TigerSystem drives this from an engine
+    // periodic task; keep it a whole-millisecond multiple so sharded dues
+    // land exactly on window barriers.
     Duration checkpoint_cadence = Duration::Seconds(1);
     // Checkpoint slots retained (ring, oldest reused).
     size_t checkpoint_capacity = 64;

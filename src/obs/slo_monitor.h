@@ -20,10 +20,10 @@
 // On breach the monitor calls the incident handler (TigerSystem wires it to
 // DumpIncident, capping bundle count); it never writes files itself.
 //
-// Determinism: evaluation happens at fixed sim instants — a barrier-aligned
-// periodic task in sharded runs, a sim timer serially — and reads only
-// barrier-consistent state, so the evaluation sequence (and StateJson) is
-// seed-deterministic and sim_threads-invariant.
+// Determinism: evaluation happens at fixed sim instants — an engine periodic
+// task, at every shard count — and reads only barrier-consistent state, so
+// the evaluation sequence (and StateJson) is seed-deterministic and
+// sim_threads-invariant.
 
 #ifndef SRC_OBS_SLO_MONITOR_H_
 #define SRC_OBS_SLO_MONITOR_H_

@@ -38,6 +38,7 @@ ShardEngine::ShardEngine(Options options) : options_(options) {
       << "shard count " << options.shards << " outside the 8-bit TimerId tag";
   TIGER_CHECK(options.threads >= 1);
   window_ = WindowFor(options.lookahead);
+  grid_us_ = options.shards > 1 ? window_.micros() : 1;
   threads_ = std::min(options.threads, options.shards);
   sims_.reserve(static_cast<size_t>(options.shards));
   for (int i = 0; i < options.shards; ++i) {
@@ -87,25 +88,20 @@ void ShardEngine::Post(int dst_shard, TimePoint when, InlineFunction cb) {
                                    dst_shard, std::move(cb)});
 }
 
-void ShardEngine::JournalAppend(TimePoint when, InlineFunction apply) {
+void ShardEngine::Defer(InlineFunction apply) {
+  TIGER_PROF_SCOPE(kQosAudit);
   const int src = tls_current_shard;
-  if (src < 0) {
-    // Driver context is single-threaded and already globally ordered.
-    apply();
-    return;
-  }
   ShardLane& lane = lanes_[static_cast<size_t>(src)];
-  lane.journal.push_back(
-      JournalEntry{when, lane.journal_seq++, static_cast<uint32_t>(src), std::move(apply)});
+  lane.journal.push_back(JournalEntry{sims_[static_cast<size_t>(src)]->Now(), lane.journal_seq++,
+                                      static_cast<uint32_t>(src), std::move(apply)});
 }
 
 void ShardEngine::AddPeriodicTask(Duration period, InlineFunction task) {
   TIGER_CHECK(tls_current_shard < 0) << "tasks must be registered from driver context";
   TIGER_CHECK(period > Duration::Zero());
-  TIGER_CHECK(period.micros() % window_.micros() == 0)
+  TIGER_CHECK(period.micros() % grid_us_ == 0)
       << "task period " << period << " does not land on the " << window_ << " barrier grid";
-  const TimePoint due =
-      TimePoint::FromMicros(AlignUpTo((now_ + period).micros(), window_.micros()));
+  const TimePoint due = TimePoint::FromMicros(AlignUpTo((now_ + period).micros(), grid_us_));
   tasks_.push_back(PeriodicTask{period, due, std::move(task)});
 }
 
@@ -122,6 +118,7 @@ void ShardEngine::SetProfiler(ShardEngineProfiler* profiler) {
 }
 
 void ShardEngine::RunOwnedShards(int worker, TimePoint horizon) {
+  tls_journal_engine_ = sharded() ? this : nullptr;
   for (int s = worker; s < shards(); s += threads_) {
     tls_current_shard = s;
     if (profiler_ != nullptr) {
@@ -139,6 +136,7 @@ void ShardEngine::RunOwnedShards(int worker, TimePoint horizon) {
     }
     tls_current_shard = -1;
   }
+  tls_journal_engine_ = nullptr;
 }
 
 void ShardEngine::WorkerLoop(int worker) {
@@ -232,14 +230,17 @@ size_t ShardEngine::ApplyJournals() {
 void ShardEngine::RunUntil(TimePoint t) {
   TIGER_CHECK(tls_current_shard < 0) << "ShardEngine::RunUntil from shard context";
   TIGER_CHECK(t >= now_);
-  const int64_t w = window_.micros();
+  const int64_t w = grid_us_;
   while (now_ < t) {
     // Earliest instant anything can happen: a pending event on any shard or
-    // a periodic task due. Empty windows up to there are skipped.
+    // a periodic task due. Empty windows up to there are skipped. One shard
+    // needs no barrier for its own events (nothing crosses), only for tasks.
     TimePoint next_interesting = TimePoint::Max();
-    for (const auto& sim : sims_) {
-      if (auto te = sim->PeekNextEventTime()) {
-        next_interesting = std::min(next_interesting, *te);
+    if (sharded()) {
+      for (const auto& sim : sims_) {
+        if (auto te = sim->PeekNextEventTime()) {
+          next_interesting = std::min(next_interesting, *te);
+        }
       }
     }
     for (const PeriodicTask& task : tasks_) {
@@ -252,7 +253,8 @@ void ShardEngine::RunUntil(TimePoint t) {
       horizon = t;
     } else {
       // Smallest grid point that covers the next event, but always past now_.
-      // AlignUp(x) < x + W ≤ x + lookahead keeps the window safe.
+      // AlignUp(x) < x + W ≤ x + lookahead keeps the window safe; on the
+      // one-shard 1 µs grid this is the task due itself.
       const int64_t grid_next = (now_.micros() / w + 1) * w;
       const int64_t aligned = AlignUpTo(next_interesting.micros(), w);
       horizon = TimePoint::FromMicros(std::min(t.micros(), std::max(grid_next, aligned)));

@@ -44,6 +44,15 @@
 // the caller's thread doubles as worker 0), so a shard's state is only ever
 // touched by one thread per window, and window hand-offs synchronize through
 // a mutex + condition variable — a clean happens-before edge for TSan.
+//
+// One shard is the serial engine. With nothing on the other side of a
+// barrier, every cross-shard rule above degenerates, and the engine derives
+// that from shards() == 1 rather than from an option: there is no worker
+// pool, journal entries apply at once (no other shard can interleave), and
+// barriers are needed only for periodic tasks — so the next one is the
+// earliest task due (or the run target), on a 1 µs grid instead of every
+// window. A one-shard run therefore dispatches exactly the event sequence of
+// a bare Simulator, with observers stepping in between instants.
 
 #ifndef SRC_SIM_SHARD_ENGINE_H_
 #define SRC_SIM_SHARD_ENGINE_H_
@@ -97,9 +106,10 @@ class ShardEngine {
   // Sum of events dispatched across all shards (read at barriers).
   uint64_t processed_events() const;
 
+  bool sharded() const { return shards() > 1; }
+
   // Shard index of the window executing on the calling thread, or -1 in
-  // driver/barrier context. Relays use this to decide between journaling and
-  // direct call-through.
+  // driver/barrier context.
   static int CurrentShard();
 
   // Schedules `cb` on `dst_shard`'s loop at absolute time `when`. From shard
@@ -108,14 +118,40 @@ class ShardEngine {
   // before the current barrier horizon are clamped to it (epoch fallback).
   void Post(int dst_shard, TimePoint when, InlineFunction cb);
 
-  // Defers `apply` to the next barrier, globally ordered by (when, emitting
-  // shard, per-shard emission sequence). From driver context `apply` runs
-  // immediately — everything is already quiesced and ordered.
-  void JournalAppend(TimePoint when, InlineFunction apply);
+  // The one write path into process-global observers (QoS ledger, fault
+  // stats, oracle, audit observer): actors hand over a closure over the real
+  // object, capturing its arguments by value. On a shard of a multi-shard
+  // engine the closure is deferred to the next barrier, where entries apply
+  // in (emitting shard's clock, shard, per-shard sequence) order — a total
+  // order fixed by the shard count alone. Everywhere else (driver context, a
+  // one-shard engine, a loop with no engine at all) nothing can interleave
+  // with the caller, so `apply` runs at once without being boxed.
+  template <typename F>
+  static void JournalAppend(F&& apply) {
+    if (ShardEngine* engine = tls_journal_engine_) {
+      engine->Defer(InlineFunction(std::forward<F>(apply)));
+    } else {
+      apply();
+    }
+  }
+
+  // JournalAppend of the common closure, one member call on an observer:
+  // (object->*method)(args...). The arguments are copied into the closure
+  // only when it is actually deferred.
+  template <typename T, typename Method, typename... Args>
+  static void JournalCall(T* object, Method method, Args&&... args) {
+    if (tls_journal_engine_ != nullptr) {
+      JournalAppend([object, method, ... copies = std::forward<Args>(args)] {
+        (object->*method)(copies...);
+      });
+    } else {
+      (object->*method)(std::forward<Args>(args)...);
+    }
+  }
 
   // Runs `task` with all shards quiesced at every barrier whose time is
-  // start + k*period (period must be a multiple of the window so dues land
-  // on barriers). Registration order is execution order.
+  // start + k*period. Sharded, the period must be a multiple of the window
+  // so dues land on barriers. Registration order is execution order.
   void AddPeriodicTask(Duration period, InlineFunction task);
 
   // Runs at every barrier, after journals and before periodic tasks.
@@ -169,6 +205,9 @@ class ShardEngine {
 
   static Duration WindowFor(Duration lookahead);
 
+  // Appends a journal entry to the calling shard's lane.
+  void Defer(InlineFunction apply);
+
   // Runs all shards owned by `worker` through the current window.
   void RunOwnedShards(int worker, TimePoint horizon);
   void WorkerLoop(int worker);
@@ -184,8 +223,14 @@ class ShardEngine {
                            size_t posts_merged, size_t journal_entries,
                            uint64_t periodic_fires, uint64_t hook_runs);
 
+  // Set while a thread runs a shard of a multi-shard engine: the engine
+  // whose lanes JournalAppend writes to.
+  static inline thread_local ShardEngine* tls_journal_engine_ = nullptr;
+
   Options options_;
   Duration window_;
+  // Barrier grid in µs: the window when sharded, 1 µs for one shard.
+  int64_t grid_us_ = 1;
   int threads_ = 1;
   TimePoint now_;
   uint64_t clamped_posts_ = 0;

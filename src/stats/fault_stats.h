@@ -35,23 +35,22 @@ class FaultStats {
     kKindCount,  // sentinel
   };
 
-  virtual ~FaultStats() = default;
-
   // The id columns of an event are kind-dependent, so recording goes through
   // typed helpers — passing a DiskId where a CubId belongs is a compile
-  // error, not a silently wrong log line. The helpers are virtual so the
-  // sharded engine can interpose a journaling relay (src/core/shard_relays.h).
+  // error, not a silently wrong log line. Actors call them through
+  // ShardEngine::JournalAppend, so in sharded runs they apply at barriers in
+  // a thread-count-invariant order.
 
   // kMessageDropped / kMessageDelayed / kMessageDuplicated. `src` and `dst`
   // are network addresses (plain integers by design: the stats layer sits
   // below the network layer that defines NetAddress).
-  virtual void RecordMessageFault(Kind kind, TimePoint when, uint32_t src, uint32_t dst);
+  void RecordMessageFault(Kind kind, TimePoint when, uint32_t src, uint32_t dst);
   // kTransientDiskError / kLimpedRead.
-  virtual void RecordDiskFault(Kind kind, TimePoint when, DiskId disk);
-  virtual void RecordCubRejoin(TimePoint when, CubId cub);
+  void RecordDiskFault(Kind kind, TimePoint when, DiskId disk);
+  void RecordCubRejoin(TimePoint when, CubId cub);
   // A block served through the declustered mirror chain: which cub fell back,
   // and for which block position.
-  virtual void RecordMirrorRecovery(TimePoint when, CubId cub, int64_t block);
+  void RecordMirrorRecovery(TimePoint when, CubId cub, int64_t block);
 
   int64_t Count(Kind kind) const;
   int64_t total() const { return static_cast<int64_t>(events_.size()); }

@@ -76,23 +76,21 @@ class QosLedger {
     }
   };
 
-  virtual ~QosLedger() = default;
-
-  // The mutators are virtual so the sharded engine can interpose a relay that
-  // defers them to barrier-ordered journals (src/core/shard_relays.h); serial
-  // runs call straight through.
+  // Actors call the mutators through ShardEngine::JournalAppend: sharded
+  // runs defer them to barrier-ordered journals, a single shard applies them
+  // at once.
 
   // --- server side (cubs) ---
   // Records the root cause for a block the server knows it degraded. The
   // first annotation per (viewer, position) wins; later ones only bump the
   // per-cause annotation counter.
-  virtual void AnnotateServerCause(TimePoint when, ViewerId viewer, int64_t position,
-                                   GlitchCause cause, uint32_t cub);
+  void AnnotateServerCause(TimePoint when, ViewerId viewer, int64_t position,
+                           GlitchCause cause, uint32_t cub);
 
   // --- client side (viewers) ---
-  virtual void RecordClientBlock(ViewerId viewer);
-  virtual void RecordClientLate(TimePoint when, ViewerId viewer, int64_t position);
-  virtual void RecordClientLost(TimePoint when, ViewerId viewer, int64_t position);
+  void RecordClientBlock(ViewerId viewer);
+  void RecordClientLate(TimePoint when, ViewerId viewer, int64_t position);
+  void RecordClientLost(TimePoint when, ViewerId viewer, int64_t position);
 
   // Pool-backed so steady-state annotation/glitch churn (bounded, drop-oldest)
   // recycles nodes and chunks instead of allocating per event.

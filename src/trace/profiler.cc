@@ -134,16 +134,8 @@ void AppendDerived(std::string* out, const ProfileData& d) {
   const auto& e = d.engine_stats;
   const double k = d.ns_per_tick;
   const double total_ns = static_cast<double>(d.total_run_ns);
-  double attributed_ticks = 0;
-  if (d.engine == "sharded") {
-    attributed_ticks = static_cast<double>(EngineAttributedTicks(e));
-  } else {
-    // Serial: sum of scaled exclusive times — a sampling *estimate*, so it
-    // can land slightly above 1.0 on short runs.
-    for (int c = 0; c < kProfCategoryCount; ++c) {
-      attributed_ticks += ScaledSelfTicks(d.categories[c]);
-    }
-  }
+  // Every run is an engine run: the five driver-loop intervals tile it.
+  const double attributed_ticks = static_cast<double>(EngineAttributedTicks(e));
   *out += "  \"derived\": {\n";
   AppendF(out, "    \"attributed_fraction\": %.6f,\n",
           Ratio(attributed_ticks * k, total_ns));

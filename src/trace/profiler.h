@@ -92,7 +92,7 @@ inline uint64_t ProfNowTicks() {
 // Fixed cost categories. Adding one means updating kProfCategoryNames in
 // profiler.cc (a static_assert pins the two).
 enum class ProfCategory : uint8_t {
-  // --- dispatch-level (recorded in shard/serial execution context) ---
+  // --- dispatch-level (recorded in shard execution context) ---
   kTimerDispatch = 0,  // Per dispatched event: heap pop + callback work no
                        // finer category claims. No scope — count comes from
                        // processed_events and self time is the busy-time
@@ -162,8 +162,8 @@ class Profiler {
   bool timing_armed() const { return timing_; }
 
   // The profiler the current thread records into (nullptr = profiling off for
-  // this thread). The serial system installs one around its run loop; the
-  // sharded engine installs the owned shard's profiler around each window.
+  // this thread). The engine installs each shard's profiler around that
+  // shard's window.
   static Profiler* Current() { return tls_current; }
   // Installs `p` and returns the previous profiler so callers can restore it.
   static Profiler* SetCurrent(Profiler* p) {
@@ -227,8 +227,8 @@ class ProfScope {
   uint64_t child_ticks_ = 0;
 };
 
-// Restores the previous thread-local profiler on scope exit; the serial
-// TigerSystem wraps its RunUntil/RunFor bodies in one of these.
+// Installs a profiler for one scope and restores the previous one on exit,
+// for profiling code outside an engine window.
 class ScopedProfilerInstall {
  public:
   explicit ScopedProfilerInstall(Profiler* p) : prev_(Profiler::SetCurrent(p)) {}
@@ -324,7 +324,7 @@ class ShardEngineProfiler {
 // RenderProfileCountsJson writes only the deterministic "counts" object —
 // tests byte-compare it across runs and thread counts.
 struct ProfileData {
-  std::string engine;  // "serial" | "sharded"
+  std::string engine;  // "serial" (one shard) | "sharded"
   int shards = 1;
   int threads = 1;
   int64_t window_us = 0;  // 0 for serial.
@@ -337,7 +337,7 @@ struct ProfileData {
   // TigerSystem derives it from the run itself (wall ns / wall ticks).
   double ns_per_tick = 1.0;
   Profiler::Bucket categories[kProfCategoryCount];
-  ShardEngineProfiler::EngineStats engine_stats;  // Zeros for serial.
+  ShardEngineProfiler::EngineStats engine_stats;
   std::vector<uint64_t> per_shard_events;
   std::vector<uint64_t> per_shard_busy_ticks;
 };

@@ -37,26 +37,6 @@ TimeSeriesSampler::TimeSeriesSampler(Simulator* sim, MetricsRegistry* metrics,
   }
 }
 
-TimeSeriesSampler::~TimeSeriesSampler() { Stop(); }
-
-void TimeSeriesSampler::Start() {
-  if (timer_ != kInvalidTimer) {
-    return;
-  }
-  timer_ = sim_->ScheduleAfter(options_.interval, [this] {
-    timer_ = kInvalidTimer;
-    SampleNow();
-    Start();  // Re-arm for the next tick.
-  });
-}
-
-void TimeSeriesSampler::Stop() {
-  if (timer_ != kInvalidTimer) {
-    sim_->Cancel(timer_);
-    timer_ = kInvalidTimer;
-  }
-}
-
 void TimeSeriesSampler::SampleNow() {
   if (refresh_) {
     refresh_();

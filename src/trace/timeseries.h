@@ -1,8 +1,9 @@
 // Continuous time-series sampling of the metrics registry.
 //
 // The summary registry answers "what happened over the whole run"; this
-// sampler answers "when". A sim-timer fires at a fixed cadence and snapshots
-// every registered metric into bounded ring-buffer series:
+// sampler answers "when". Each SampleNow() — TigerSystem calls it from an
+// engine barrier task at a fixed cadence — snapshots every registered metric
+// into bounded ring-buffer series:
 //
 //  * counters  → per-interval delta (rate shape, not a monotone ramp)
 //  * gauges    → value at the tick
@@ -52,7 +53,6 @@ class TimeSeriesSampler {
   TimeSeriesSampler(Simulator* sim, MetricsRegistry* metrics)
       : TimeSeriesSampler(sim, metrics, Options()) {}
   TimeSeriesSampler(Simulator* sim, MetricsRegistry* metrics, Options options);
-  ~TimeSeriesSampler();
 
   TimeSeriesSampler(const TimeSeriesSampler&) = delete;
   TimeSeriesSampler& operator=(const TimeSeriesSampler&) = delete;
@@ -61,14 +61,9 @@ class TimeSeriesSampler {
   // that are computed on demand (e.g. TigerSystem::SnapshotMetrics).
   void SetRefreshCallback(InlineFunction cb) { refresh_ = std::move(cb); }
 
-  // Starts the periodic timer (first tick one interval from now). Safe to
-  // call once; Stop cancels the pending tick.
-  void Start();
-  void Stop();
-  bool running() const { return timer_ != kInvalidTimer; }
-
-  // Takes one sample immediately (also what the timer calls). Usable without
-  // Start() for manual cadences.
+  // Takes one sample at the simulator's current time. The cadence belongs to
+  // the caller (TigerSystem runs it as an engine periodic task every
+  // options.interval).
   void SampleNow();
 
   size_t tick_count() const { return tick_times_.size(); }
@@ -102,7 +97,6 @@ class TimeSeriesSampler {
   MetricsRegistry* metrics_;
   Options options_;
   InlineFunction refresh_;
-  TimerId timer_ = kInvalidTimer;
 
   std::deque<TimePoint> tick_times_;
   uint64_t total_ticks_ = 0;  // Includes ticks evicted from the ring.

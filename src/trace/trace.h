@@ -111,6 +111,17 @@ class TraceSink {
   virtual void OnTraceEvent(const TraceEvent& event) = 0;
 };
 
+// A sink that only collects. Sharded runs give each shard's tracer one and
+// drain them all at every barrier, merged by (when, shard, record order).
+class TraceBuffer : public TraceSink {
+ public:
+  void OnTraceEvent(const TraceEvent& event) override { events_.push_back(event); }
+  std::vector<TraceEvent>& events() { return events_; }
+
+ private:
+  std::vector<TraceEvent> events_;
+};
+
 class Tracer {
  public:
   struct Options {
@@ -120,8 +131,8 @@ class Tracer {
     bool enabled = true;
     // First BeginFlow id handed out is flow_id_base + 1. Sharded runs give
     // each shard's tracer a disjoint base (shard+1 in the top 16 bits) so
-    // flows stay unique in the merged export; serial keeps 0 — ids 1, 2, …
-    // exactly as before.
+    // flows stay unique in the merged export; a one-shard run has nothing to
+    // merge and keeps 0 — ids 1, 2, … exactly as before.
     uint64_t flow_id_base = 0;
   };
 
@@ -181,7 +192,7 @@ class Tracer {
 
   // Static renderers over an arbitrary event list — the sharded engine merges
   // per-shard tracers into one ordered list and renders it through these, so
-  // the serial and merged exports share one formatter. `events` must already
+  // the one-shard and merged exports share one formatter. `events` must already
   // be in final order with final seq numbers; `track_names[e.track]` names
   // each event's track.
   static std::string TextDumpOf(const std::vector<TraceEvent>& events,

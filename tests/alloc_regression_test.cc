@@ -58,15 +58,15 @@ struct Ring {
     int made = system->BootstrapStreams(streams, sink_addr, file, config.max_stream_bps);
     EXPECT_EQ(made, streams);
     system->Start();
-    system->sim().RunUntil(TimePoint::Zero() + kWarmup);
+    system->RunUntil(TimePoint::Zero() + kWarmup);
   }
 
   // Runs one measurement window and returns (allocations, events).
   std::pair<uint64_t, uint64_t> MeasureWindow() {
-    const uint64_t events_before = system->sim().processed_events();
+    const uint64_t events_before = system->processed_events();
     const uint64_t allocs_before = AllocCount();
-    system->sim().RunUntil(system->sim().Now() + kWindow);
-    return {AllocCount() - allocs_before, system->sim().processed_events() - events_before};
+    system->RunFor(kWindow);
+    return {AllocCount() - allocs_before, system->processed_events() - events_before};
   }
 };
 
@@ -162,7 +162,7 @@ TEST(AllocRegressionTest, DeschedulePathCostIsBoundedAndFullyTransient) {
   const uint64_t burst_allocs_before = AllocCount();
   for (const DescheduleRecord& victim : victims) {
     kill(victim);
-    system.sim().RunUntil(system.sim().Now() + Duration::Millis(300));
+    system.RunFor(Duration::Millis(300));
   }
   const uint64_t burst_allocs = AllocCount() - burst_allocs_before;
   EXPECT_GT(system.TotalCubCounters().deschedules_applied, 0);
@@ -175,7 +175,7 @@ TEST(AllocRegressionTest, DeschedulePathCostIsBoundedAndFullyTransient) {
   // to the exact zero of the steady-state contract — min over windows, as in
   // the warm-ring test, since the last of the transient can straddle the
   // first window boundary.
-  system.sim().RunUntil(system.sim().Now() + Duration::Seconds(15));
+  system.RunFor(Duration::Seconds(15));
   uint64_t min_allocs = ~0ull;
   for (int w = 0; w < kWindows; ++w) {
     auto [allocs, window_events] = ring.MeasureWindow();

@@ -26,7 +26,7 @@ TEST(BootstrapTest, StreamsSelfPerpetuate) {
   int made = system.BootstrapStreams(streams, sink_addr, file, config.max_stream_bps);
   ASSERT_EQ(made, streams);
   system.Start();
-  system.sim().RunUntil(TimePoint::Zero() + Duration::Seconds(30));
+  system.RunUntil(TimePoint::Zero() + Duration::Seconds(30));
 
   Cub::Counters totals = system.TotalCubCounters();
   // Every stream serves one block per second; with data-plane off the send
@@ -71,7 +71,7 @@ TEST(BootstrapTest, FullCapacityControlTrafficMatchesFigureEight) {
   int made = system.BootstrapStreams(602, sink_addr, file, config.max_stream_bps);
   ASSERT_EQ(made, 602);
   system.Start();
-  system.sim().RunUntil(TimePoint::Zero() + Duration::Seconds(20));
+  system.RunUntil(TimePoint::Zero() + Duration::Seconds(20));
   double bps = system.CubControlTrafficBps(CubId(0), TimePoint::FromMicros(10000000),
                                            TimePoint::FromMicros(20000000));
   // 43 streams/cub x 2 copies x 100 B = 8.6 KB/s plus amortized headers.

@@ -45,8 +45,14 @@ TEST(ControllerFailoverTest, RunningStreamsSurviveControllerDeathWithoutBackup) 
   EXPECT_EQ(testbed.system().oracle()->conflict_count(), 0);
 }
 
-TEST(ControllerFailoverTest, StandbyTakesOverNewStarts) {
-  Testbed testbed(SmallConfig(), 83);
+// Run on one shard and on two: the standby must live on an engine shard the
+// run actually advances, whatever the shard count.
+class ControllerFailoverShardsTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ControllerFailoverShardsTest, StandbyTakesOverNewStarts) {
+  TigerConfig config = SmallConfig();
+  config.sim_shards = GetParam();
+  Testbed testbed(config, 83);
   testbed.system().EnableOracle();
   testbed.system().EnableBackupController();
   testbed.AddContent(2, Duration::Seconds(40));
@@ -72,6 +78,8 @@ TEST(ControllerFailoverTest, StandbyTakesOverNewStarts) {
   EXPECT_EQ(totals.lost_blocks, 0);
   EXPECT_EQ(testbed.system().oracle()->conflict_count(), 0);
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, ControllerFailoverShardsTest, ::testing::Values(1, 2));
 
 TEST(ControllerFailoverTest, StopsWorkAcrossFailover) {
   // The standby has no routing stubs for pre-failover plays; the deschedule

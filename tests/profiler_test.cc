@@ -145,8 +145,8 @@ ProfiledRun RunShape(uint64_t seed, int shards, int threads, bool profiled) {
   if (profiled) {
     system.EnableProfiling();
   }
-  // The auditor's observer hooks drive the kQosAudit relays, so the
-  // qos_audit category has traffic to count.
+  // The auditor's observer hooks count under kQosAudit, so the qos_audit
+  // category has traffic to count.
   ScheduleAuditor auditor(&system.sim(), &system.config());
   auditor.Attach(&system);
   auditor.Start();
@@ -236,9 +236,9 @@ TEST(ProfilerSystemTest, SerialProfilingDoesNotPerturbObservables) {
   ProfiledRun prof2 = RunShape(7, /*shards=*/1, /*threads=*/1, /*profiled=*/true);
   EXPECT_EQ(prof.counts_json, prof2.counts_json);
   EXPECT_GT(JsonNumber(prof.counts_json, "timer_dispatch"), 0.0);
-  // Serial attribution sums scope self-times instead of driver intervals;
-  // a looser floor guards against the scopes silently vanishing.
-  EXPECT_GT(JsonNumber(prof.full_json, "attributed_fraction"), 0.5);
+  // A one-shard run is an engine run too: its driver intervals tile the
+  // measured wall time like a sharded run's.
+  EXPECT_GE(JsonNumber(prof.full_json, "attributed_fraction"), 0.95);
 }
 
 }  // namespace

@@ -14,9 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "src/audit/auditor.h"
+#include "src/client/testbed.h"
 #include "src/core/system.h"
 #include "src/net/network.h"
 
@@ -54,10 +56,10 @@ RunDump RunOnce(uint64_t seed) {
                     .value();
   EXPECT_EQ(system.BootstrapStreams(streams, sink_addr, file, config.max_stream_bps), streams);
   system.Start();
-  system.sim().RunUntil(TimePoint::Zero() + kRunFor);
+  system.RunUntil(TimePoint::Zero() + kRunFor);
 
   RunDump dump;
-  dump.events = system.sim().processed_events();
+  dump.events = system.processed_events();
   dump.timeseries_csv = system.timeseries()->Csv();
   dump.timeseries_json = system.timeseries()->Json();
   dump.chrome_trace = system.tracer()->ChromeJson(system.timeseries()->ChromeCounterEvents());
@@ -207,6 +209,98 @@ TEST(ScaleDeterminismTest, ProfiledShardedRunIsByteIdenticalToUnprofiled) {
   EXPECT_EQ(plain.counters.records_new, prof.counters.records_new);
   EXPECT_EQ(plain.counters.blocks_sent, prof.counters.blocks_sent);
   EXPECT_EQ(plain.counters.inserts, prof.counters.inserts);
+}
+
+// --- observers never perturb the run ----------------------------------------
+//
+// Every observer — auditor, invariant checker, time-series sampler, flight
+// recorder, SLO monitor — polls from an engine barrier task and writes only
+// through the journal, so attaching all of them must leave the protocol run
+// untouched: the same events, cub counters and client-observed QoS, at one
+// shard and at four. The scenario carries a data plane, looping viewers and
+// a cub power cut with revive, so takeovers, mirror service and rejoin all
+// run under observation.
+
+struct ProtocolOutcome {
+  uint64_t events = 0;
+  Cub::Counters counters;
+  QosLedger::Rollup qos;
+};
+
+ProtocolOutcome RunObservedScenario(int shards, bool observed) {
+  TigerConfig config;
+  config.shape = SystemShape{8, 2, 2};
+  config.sim_shards = shards;
+  Testbed testbed(config, /*seed=*/21);
+  TigerSystem& system = testbed.system();
+  std::unique_ptr<ScheduleAuditor> auditor;
+  if (observed) {
+    system.EnableInvariantChecker();
+    system.EnableTimeSeries(Duration::Seconds(1));
+    system.EnableFlightRecorder();
+    SloMonitor::Options slo;
+    slo.max_incidents = 0;  // Evaluate and count breaches; write no bundles.
+    system.EnableSloMonitor(slo);
+    auditor = std::make_unique<ScheduleAuditor>(&system.sim(), &system.config());
+    auditor->Attach(&system);
+  }
+  testbed.AddContent(8, Duration::Seconds(120));
+  testbed.Start();
+  if (auditor != nullptr) {
+    auditor->Start();
+  }
+  testbed.AddLoopingViewers(48, Duration::Seconds(4));
+  system.FailCubAt(TimePoint::Zero() + Duration::Seconds(12), CubId(3));
+  system.ReviveCubAt(TimePoint::Zero() + Duration::Seconds(30), CubId(3));
+  testbed.RunUntil(TimePoint::Zero() + Duration::Seconds(60));
+
+  ProtocolOutcome out;
+  out.events = system.processed_events();
+  out.counters = system.TotalCubCounters();
+  out.qos = system.qos_ledger().FleetRollup();
+  return out;
+}
+
+TEST(ScaleDeterminismTest, ObserversNeverPerturbTheRun) {
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE("sim_shards=" + std::to_string(shards));
+    const ProtocolOutcome bare = RunObservedScenario(shards, /*observed=*/false);
+    const ProtocolOutcome seen = RunObservedScenario(shards, /*observed=*/true);
+
+    // The scenario exercises what the observers watch.
+    EXPECT_GT(bare.counters.takeovers, 0);
+    EXPECT_GT(bare.counters.rejoins, 0);
+    EXPECT_GT(bare.qos.blocks, 1000);
+    EXPECT_GT(bare.qos.late + bare.qos.lost, 0) << "the power cut must cost some blocks";
+
+    EXPECT_EQ(bare.events, seen.events);
+    const Cub::Counters& a = bare.counters;
+    const Cub::Counters& b = seen.counters;
+    EXPECT_EQ(a.records_received, b.records_received);
+    EXPECT_EQ(a.records_new, b.records_new);
+    EXPECT_EQ(a.records_duplicate, b.records_duplicate);
+    EXPECT_EQ(a.records_killed_by_deschedule, b.records_killed_by_deschedule);
+    EXPECT_EQ(a.records_too_late, b.records_too_late);
+    EXPECT_EQ(a.records_conflict, b.records_conflict);
+    EXPECT_EQ(a.blocks_sent, b.blocks_sent);
+    EXPECT_EQ(a.fragments_sent, b.fragments_sent);
+    EXPECT_EQ(a.server_missed_blocks, b.server_missed_blocks);
+    EXPECT_EQ(a.deschedules_received, b.deschedules_received);
+    EXPECT_EQ(a.deschedules_applied, b.deschedules_applied);
+    EXPECT_EQ(a.inserts, b.inserts);
+    EXPECT_EQ(a.takeovers, b.takeovers);
+    EXPECT_EQ(a.buffer_stalls, b.buffer_stalls);
+    EXPECT_EQ(a.failures_detected, b.failures_detected);
+    EXPECT_EQ(a.disk_read_errors, b.disk_read_errors);
+    EXPECT_EQ(a.mirror_recoveries, b.mirror_recoveries);
+    EXPECT_EQ(a.rejoins, b.rejoins);
+    EXPECT_EQ(bare.qos.blocks, seen.qos.blocks);
+    EXPECT_EQ(bare.qos.late, seen.qos.late);
+    EXPECT_EQ(bare.qos.lost, seen.qos.lost);
+    for (size_t c = 0; c < static_cast<size_t>(GlitchCause::kCauseCount); ++c) {
+      EXPECT_EQ(bare.qos.by_cause[c], seen.qos.by_cause[c]) << "cause " << c;
+    }
+  }
 }
 
 }  // namespace

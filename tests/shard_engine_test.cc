@@ -38,7 +38,7 @@ struct Ring {
   void Fire(int shard, int hops) {
     const TimePoint now = engine->shard(shard).Now();
     std::string* out = log;
-    engine->JournalAppend(now, [out, now, shard, hops] {
+    ShardEngine::JournalAppend([out, now, shard, hops] {
       char buf[64];
       std::snprintf(buf, sizeof(buf), "t=%lld s=%d h=%d\n",
                     static_cast<long long>(now.micros()), shard, hops);
@@ -97,15 +97,15 @@ TEST(ShardEngineTest, ArrivalExactlyAtWindowHorizonKeepsSerialOrder) {
   auto run = [](int threads) {
     ShardEngine engine({2, threads, Duration::Micros(300)});
     std::string log;
-    engine.shard(1).ScheduleAt(TimePoint::FromMicros(500), [&engine, &log] {
+    engine.shard(1).ScheduleAt(TimePoint::FromMicros(500), [&log] {
       std::string* out = &log;
-      engine.JournalAppend(engine.shard(1).Now(), [out] { *out += "local@500\n"; });
+      ShardEngine::JournalAppend([out] { *out += "local@500\n"; });
     });
     engine.shard(0).ScheduleAt(TimePoint::FromMicros(250), [&engine, &log] {
       std::string* out = &log;
-      engine.JournalAppend(engine.shard(0).Now(), [out] { *out += "sent@250\n"; });
-      engine.Post(1, TimePoint::FromMicros(500), [&engine, out] {
-        engine.JournalAppend(engine.shard(1).Now(), [out] { *out += "arrived@500\n"; });
+      ShardEngine::JournalAppend([out] { *out += "sent@250\n"; });
+      engine.Post(1, TimePoint::FromMicros(500), [out] {
+        ShardEngine::JournalAppend([out] { *out += "arrived@500\n"; });
       });
     });
     engine.RunUntil(TimePoint::FromMicros(2000));
@@ -129,7 +129,7 @@ TEST(ShardEngineTest, EpochFallbackClampsSubWindowArrivals) {
         char buf[32];
         std::snprintf(buf, sizeof(buf), "arrived t=%lld\n",
                       static_cast<long long>(engine.shard(1).Now().micros()));
-        engine.JournalAppend(engine.shard(1).Now(), [out, buf] { *out += buf; });
+        ShardEngine::JournalAppend([out, buf] { *out += buf; });
       });
     });
     engine.RunUntil(TimePoint::FromMicros(200));
@@ -170,8 +170,37 @@ TEST(ShardEngineTest, PeriodicTasksFireOnGridInRegistrationOrder) {
 TEST(ShardEngineTest, DriverContextJournalAppliesImmediately) {
   ShardEngine engine({2, 1, Duration::Micros(300)});
   std::string log;
-  engine.JournalAppend(engine.Now(), [&log] { log += "now"; });
+  ShardEngine::JournalAppend([&log] { log += "now"; });
   EXPECT_EQ(log, "now");
+}
+
+// One shard is the serial engine: nothing crosses a barrier, so the journal
+// applies in place (interleaved with the events that emit it) and a task
+// period need not be a window multiple — barriers exist only at task dues.
+TEST(ShardEngineTest, OneShardAppliesJournalInPlaceAndStopsOnlyForTasks) {
+  ShardEngine engine({1, 4, Duration::Micros(300)});
+  EXPECT_FALSE(engine.sharded());
+  EXPECT_EQ(engine.threads(), 1) << "one shard needs no worker pool";
+  std::string log;
+  auto stamp = [&log](const char* what, TimePoint at) {
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), "%s@%lldus\n", what, static_cast<long long>(at.micros()));
+    log += buf;
+  };
+  for (int64_t us : {100, 333, 400}) {
+    engine.shard(0).ScheduleAt(TimePoint::FromMicros(us), [&engine, &stamp] {
+      ShardEngine::JournalAppend([&engine, &stamp] { stamp("journal", engine.shard(0).Now()); });
+      stamp("event", engine.shard(0).Now());
+    });
+  }
+  engine.AddPeriodicTask(Duration::Micros(333), [&engine, &stamp] { stamp("task", engine.Now()); });
+  engine.RunUntil(TimePoint::FromMicros(700));
+  EXPECT_EQ(log,
+            "journal@100us\nevent@100us\n"
+            "journal@333us\nevent@333us\ntask@333us\n"
+            "journal@400us\nevent@400us\n"
+            "task@666us\n");
+  EXPECT_EQ(engine.Now(), TimePoint::FromMicros(700));
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "src/stats/bounded_histogram.h"
 #include "src/stats/histogram.h"
 #include "src/stats/qos.h"
+#include "src/sim/shard_engine.h"
 #include "src/trace/timeseries.h"
 
 namespace tiger {
@@ -246,22 +247,26 @@ TEST(TimeSeriesSamplerTest, HistogramQuantilesAppearOnceDataExists) {
   EXPECT_EQ(row1, "0.000000,,");
 }
 
-TEST(TimeSeriesSamplerTest, PeriodicTimerSamplesAtCadence) {
-  Simulator sim;
+TEST(TimeSeriesSamplerTest, EngineTaskSamplesAtCadence) {
+  // TigerSystem drives the sampler from an engine periodic task; a one-shard
+  // engine fires it at exactly every interval.
+  ShardEngine engine({1, 1, Duration::Micros(300)});
   MetricsRegistry metrics;
   TimeSeriesSampler::Options options;
   options.interval = Duration::Millis(500);
-  TimeSeriesSampler sampler(&sim, &metrics, options);
+  TimeSeriesSampler sampler(&engine.shard(0), &metrics, options);
   metrics.Counter("ticks") = 0;
   int refreshes = 0;
   sampler.SetRefreshCallback([&refreshes] { refreshes++; });
-  sampler.Start();
-  sim.RunFor(Duration::Seconds(5));
+  engine.AddPeriodicTask(options.interval, [&sampler] { sampler.SampleNow(); });
+  engine.RunFor(Duration::Seconds(5));
   EXPECT_EQ(sampler.tick_count(), 10u);
   EXPECT_EQ(refreshes, 10);
-  sampler.Stop();
-  sim.RunFor(Duration::Seconds(5));
-  EXPECT_EQ(sampler.tick_count(), 10u) << "no samples after Stop()";
+  std::istringstream in(sampler.Csv());
+  std::string line;
+  std::getline(in, line);  // header
+  std::getline(in, line);
+  EXPECT_EQ(line.compare(0, 9, "0.500000,"), 0) << line;
 }
 
 TEST(TimeSeriesSamplerTest, RingEvictsOldestButKeepsAlignment) {
