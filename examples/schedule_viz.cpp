@@ -40,9 +40,9 @@ void RenderDiskSchedule() {
   for (int c = 0; c < config.shape.num_cubs; ++c) {
     const_cast<ScheduleView&>(testbed.system().cub(CubId(static_cast<uint32_t>(c))).view())
         .ForEachEntry([&](ScheduleEntry& entry) {
-          if (!entry.record.is_mirror()) {
-            occupancy[entry.record.slot.value()] =
-                static_cast<char>('0' + entry.record.viewer.value() % 10);
+          if (!entry.record().is_mirror()) {
+            occupancy[entry.record().slot.value()] =
+                static_cast<char>('0' + entry.record().viewer.value() % 10);
           }
         });
   }

@@ -6,8 +6,17 @@
 // it subscribes to the causal lineage evidence cubs emit (record creations,
 // forwards, receives, TTL drops, kills; see src/core/audit_hooks.h) and to
 // the Tracer's live event stream, maintains a *shadow* global schedule from
-// that evidence alone, and continuously diffs the shadow against every
-// living cub's local window.
+// that evidence alone, and diffs the shadow against every living cub's local
+// window.
+//
+// The diff checks each view entry once, when it lands, not every entry on
+// every check: each cub's ScheduleView logs the entries that land while an
+// observer is attached, and every check drains those logs. That is exact,
+// because a landed record is read-only (ScheduleEntry::record() is const and
+// only the view writes it) — an entry that checks out when it lands cannot
+// diverge later. The diff's cost follows what changed, not view size, so the
+// auditor keeps §4's limited-view discipline instead of re-reading every
+// window every period.
 //
 // The cardinal rule keeping false positives at zero: any single piece of
 // evidence may INTRODUCE shadow state (an unknown chain, a new mirror lane,
@@ -37,8 +46,8 @@
 //   kResurrection             §4.1.2   a killed instance re-entered a view
 //                                      that had already applied the kill
 //   kTtlExceeded              §4.1.1   the hop-count TTL guard fired
-//   kPhantomRecord            §4       a view holds an entry no evidence
-//                                      explains at that cub
+//   kPhantomRecord            §4       an entry landed in a view where no
+//                                      evidence explains it (counted once)
 //
 // Records forwarded to two successors where only one copy survives are the
 // paper's double-forwarding working as designed; the auditor counts them as
@@ -147,8 +156,9 @@ class ScheduleAuditor : public Actor, public AuditObserver, public TraceSink {
       : ScheduleAuditor(sim, config, Options()) {}
   ScheduleAuditor(Simulator* sim, const TigerConfig* config, Options options);
 
-  // Wires this auditor into `system`: every cub's audit hooks, the tracer's
-  // live sink (when tracing is enabled), and the per-tick view diff.
+  // Wires this auditor into `system`: every cub's audit hooks (which also
+  // turn on each view's landing log), the tracer's live sink (when tracing is
+  // enabled), and the per-tick view diff.
   void Attach(TigerSystem* system);
 
   // Begins the periodic shadow-vs-view diff: an engine barrier task every
@@ -215,6 +225,8 @@ class ScheduleAuditor : public Actor, public AuditObserver, public TraceSink {
   int64_t chains_seen() const { return chains_created_; }
   int64_t untagged_records() const { return untagged_records_; }
   int64_t checks_run() const { return checks_run_; }
+  // View entries the diff has checked: one per landing, never per check.
+  int64_t entries_audited() const { return entries_audited_; }
   int64_t trace_events_seen() const { return trace_events_seen_; }
 
  private:
@@ -336,6 +348,7 @@ class ScheduleAuditor : public Actor, public AuditObserver, public TraceSink {
   int64_t chains_pruned_ = 0;
   int64_t untagged_records_ = 0;
   int64_t untagged_view_entries_ = 0;
+  int64_t entries_audited_ = 0;
   int64_t checks_run_ = 0;
   int64_t trace_events_seen_ = 0;
   int64_t trace_unknown_chains_ = 0;

@@ -142,6 +142,9 @@ void Cub::Rejoin() {
   // rebuilt from zero and repopulated by the living peers' rejoin replies.
   view_ = ScheduleView(config_->deschedule_hold, ViewBucketReserve(*config_));
   view_.SetTrace(tracer_, trace_track_);
+  if (auditor_ != nullptr) {
+    view_.EnableLandingLog();
+  }
   TIGER_TRACE_INSTANT(tracer_, trace_track_, TraceEventType::kRejoin);
   failure_view_ = FailureView(config_->shape);
   cache_ = BlockCache(config_->block_cache_bytes);
@@ -229,7 +232,8 @@ void Cub::HandleMessage(const MessageEnvelope& envelope) {
 void Cub::OnViewerStateBatch(const ViewerStateBatchMsg& msg) {
   // Self time = wire decode + per-record receive glue; the schedule-view
   // apply and QoS/audit hooks underneath carve out their own categories.
-  TIGER_PROF_SCOPE(kVStateDecode);
+  // Counted per decoded record, the unit kVStateEncode counts in.
+  TIGER_PROF_ITEMS_SCOPE(kVStateDecode, decode_scratch_);
   ChargeMessageCpu();
   TIGER_TRACE_END_FLOW(tracer_, trace_track_, TraceEventType::kVStateHop, msg.trace_flow,
                        TraceArgs{.a = static_cast<int64_t>(msg.wire_records.size())});
@@ -350,7 +354,7 @@ void Cub::ProcessAcceptedRecord(const ViewerStateRecord::Key& key) {
   if (entry == nullptr) {
     return;
   }
-  const ViewerStateRecord record = entry->record;  // Copy: view may rehash below.
+  const ViewerStateRecord record = entry->record();  // Copy: view may rehash below.
   DiskId serving = ServingDisk(record);
   if (IsMyDisk(serving) && !failure_view_.IsDiskFailed(serving)) {
     // This cub owns the record's forwarding duty; make sure ForwardTick's
@@ -371,7 +375,7 @@ void Cub::ProcessAcceptedRecord(const ViewerStateRecord::Key& key) {
 void Cub::ScheduleEntryWork(const ViewerStateRecord::Key& key) {
   ScheduleEntry* entry = view_.Find(key);
   TIGER_CHECK(entry != nullptr);
-  const TimePoint due = entry->record.due;
+  const TimePoint due = entry->record().due;
   Duration lead = config_->read_ahead;
   if (config_->read_ahead_jitter > Duration::Zero()) {
     lead = lead - rng_.UniformDuration(Duration::Zero(), config_->read_ahead_jitter);
@@ -397,7 +401,7 @@ void Cub::IssueRead(const ViewerStateRecord::Key& key) {
     entry->block_ready = true;
     return;
   }
-  const ViewerStateRecord& record = entry->record;
+  const ViewerStateRecord& record = entry->record();
   if (record.due <= Now()) {
     return;  // Too late; the send path counts the miss.
   }
@@ -455,7 +459,7 @@ void Cub::SendBlock(const ViewerStateRecord::Key& key) {
     return;  // Descheduled: silently skip, this is not a missed block.
   }
   entry->sent = true;
-  const ViewerStateRecord record = entry->record;
+  const ViewerStateRecord record = entry->record();
   const FileInfo& file = catalog_->Get(record.file);
   const bool mirror = record.is_mirror();
   const bool had_block = entry->block_ready;
@@ -588,7 +592,7 @@ void Cub::TakeoverRecord(const ViewerStateRecord::Key& key) {
   entry->backup_only = true;
   entry->forwarded = true;  // Mirror/successor generation replaces forwarding.
   counters_.takeovers++;
-  const ViewerStateRecord record = entry->record;
+  const ViewerStateRecord record = entry->record();
   TIGER_DCHECK(!record.is_mirror());
   TIGER_TRACE_INSTANT(tracer_, trace_track_, TraceEventType::kTakeover,
                       TraceArgs{.viewer = record.viewer.value(),
@@ -688,7 +692,7 @@ void Cub::RecoverBlockViaMirrors(const ViewerStateRecord::Key& key) {
   if (entry == nullptr || entry->mirror_recovery) {
     return;
   }
-  const ViewerStateRecord record = entry->record;
+  const ViewerStateRecord record = entry->record();
   if (record.is_mirror()) {
     return;  // A failed fragment read has no second-level fallback.
   }
@@ -796,7 +800,7 @@ void Cub::ForwardTick() {
       if (flush || entry.forwarded || entry.backup_only) {
         return;
       }
-      std::optional<ViewerStateRecord> next = SuccessorRecord(entry.record);
+      std::optional<ViewerStateRecord> next = SuccessorRecord(entry.record());
       if (!next.has_value()) {
         return;
       }
@@ -817,7 +821,7 @@ void Cub::ForwardTick() {
         }
         // Still held back (beyond maxVStateLead); fold its trigger into the
         // next wakeup bound.
-        std::optional<ViewerStateRecord> next = SuccessorRecord(entry.record);
+        std::optional<ViewerStateRecord> next = SuccessorRecord(entry.record());
         if (next.has_value()) {
           const TimePoint trigger = next->due - config_->min_vstate_lead - safety;
           if (trigger < earliest) {
@@ -836,7 +840,7 @@ void Cub::MaybeForwardEntry(ScheduleEntry& entry, BatchMap& batches) {
   if (entry.forwarded || entry.backup_only) {
     return;
   }
-  std::optional<ViewerStateRecord> next = SuccessorRecord(entry.record);
+  std::optional<ViewerStateRecord> next = SuccessorRecord(entry.record());
   if (!next.has_value()) {
     entry.forwarded = true;  // Terminal record (EOF / last fragment).
     return;
@@ -964,8 +968,8 @@ void Cub::OnDeschedule(const DescheduleMsg& msg) {
     // If the play got inserted meanwhile, we can recover it from our view.
     bool found = false;
     view_.ForEachEntry([&](ScheduleEntry& entry) {
-      if (!found && entry.record.instance == record.instance && !entry.record.is_mirror()) {
-        record.slot = entry.record.slot;
+      if (!found && entry.record().instance == record.instance && !entry.record().is_mirror()) {
+        record.slot = entry.record().slot;
         found = true;
       }
     });
@@ -986,7 +990,7 @@ void Cub::OnDeschedule(const DescheduleMsg& msg) {
     for (const ScheduleEntry& removed : outcome.removed) {
       // Buffers for blocks read but never to be sent must come back.
       if (removed.buffer_held && removed.block_ready && !removed.sent) {
-        FreeBuffer(ReadBytesFor(removed.record));
+        FreeBuffer(ReadBytesFor(removed.record()));
       }
     }
     if (oracle_ != nullptr) {
@@ -1286,8 +1290,8 @@ void Cub::OnRejoinRequest(const RejoinRequestMsg& msg) {
   view_.ForEachEntry([&](ScheduleEntry& entry) {
     // Past-due records prove nothing the rejoiner needs (ongoing chains have
     // future-due records too) and would only count as missed sends there.
-    if (!entry.record.is_mirror() && entry.record.due >= Now()) {
-      reply->Add(entry.record);
+    if (!entry.record().is_mirror() && entry.record().due >= Now()) {
+      reply->Add(entry.record());
     }
   });
   ChargeMessageCpu();
@@ -1340,10 +1344,10 @@ void Cub::HandleFailure(CubId failed_cub, DiskId failed_disk) {
       if (entry.backup_only || !entry.forwarded || entry.takeover_processed) {
         return;
       }
-      std::optional<ViewerStateRecord> next = SuccessorRecord(entry.record);
+      std::optional<ViewerStateRecord> next = SuccessorRecord(entry.record());
       if (next.has_value() && next->due + config_->block_play_time >= Now()) {
         entry.forwarded = false;
-        NoteUnforwardedEntry(entry.record);
+        NoteUnforwardedEntry(entry.record());
       }
     });
     if (failure_view_.FirstLivingSuccessor(failed_cub) == id_) {
@@ -1368,14 +1372,14 @@ void Cub::ScanForTakeovers() {
   // TakeoverRecord itself skips the mirror chain for past-due blocks.
   std::vector<ViewerStateRecord::Key> keys;
   view_.ForEachEntry([&](ScheduleEntry& entry) {
-    if (entry.record.is_mirror() || entry.takeover_processed) {
+    if (entry.record().is_mirror() || entry.takeover_processed) {
       return;
     }
-    DiskId serving = ServingDisk(entry.record);
+    DiskId serving = ServingDisk(entry.record());
     if (failure_view_.IsDiskFailed(serving) &&
         config_->shape.CubOfDisk(serving) != id_ &&
         failure_view_.FirstLivingSuccessor(config_->shape.CubOfDisk(serving)) == id_) {
-      keys.push_back(entry.record.DedupKey());
+      keys.push_back(entry.record().DedupKey());
     }
   });
   for (const ViewerStateRecord::Key& key : keys) {

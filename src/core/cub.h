@@ -89,8 +89,16 @@ class Cub : public Actor, public NetworkEndpoint {
   // viewer-state lead distribution feeds `metrics`. Survives Rejoin().
   void SetTrace(Tracer* tracer, TraceTrackId track, MetricsRegistry* metrics);
   // Passive audit evidence sink (see audit_hooks.h); null = no auditor.
+  // Attaching one also turns on the view's landing log, which the auditor's
+  // view diff drains. Detaching leaves the log on: an entry that lands while
+  // the hooks are silent must still reach the diff, as a phantom record.
   // Survives Rejoin().
-  void SetAuditObserver(AuditObserver* auditor) { auditor_ = auditor; }
+  void SetAuditObserver(AuditObserver* auditor) {
+    auditor_ = auditor;
+    if (auditor != nullptr) {
+      view_.EnableLandingLog();
+    }
+  }
 
   // Self-check: corrupt the next forwarded record's due time by 1ms (after
   // the forward evidence is emitted, so the auditor's shadow disagrees with

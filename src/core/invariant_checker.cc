@@ -50,7 +50,7 @@ void InvariantChecker::CheckNow() {
     }
     const ScheduleView& view = system_->cub(id).view();
     view.ForEachEntry([&](const ScheduleEntry& entry) {
-      const ViewerStateRecord& record = entry.record;
+      const ViewerStateRecord& record = entry.record();
       // Lead bounds, evaluated once per entry: the first tick after receipt.
       if (entry.received >= last_tick_) {
         const Duration lead = record.due - entry.received;
@@ -87,8 +87,8 @@ void InvariantChecker::CheckNow() {
   for (const auto& [slot, sightings] : primaries_by_slot) {
     for (size_t i = 0; i < sightings.size(); ++i) {
       for (size_t j = i + 1; j < sightings.size(); ++j) {
-        const ViewerStateRecord& a = sightings[i].entry->record;
-        const ViewerStateRecord& b = sightings[j].entry->record;
+        const ViewerStateRecord& a = sightings[i].entry->record();
+        const ViewerStateRecord& b = sightings[j].entry->record();
         if (a.instance == b.instance) {
           continue;
         }

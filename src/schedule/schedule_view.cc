@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/trace/profiler.h"
@@ -46,23 +47,26 @@ ScheduleView::ApplyResult ScheduleView::ApplyViewerStateImpl(const ViewerStateRe
   }
   SlotBucket& bucket = GetOrCreateBucket(record.slot);
   for (const ScheduleEntry& entry : bucket.entries) {
-    if (entry.record.DedupKey() == record.DedupKey()) {
+    if (entry.record().DedupKey() == record.DedupKey()) {
       return ApplyResult::kDuplicate;
     }
   }
   // Two different viewers (or two instances) must never be scheduled into the
   // same slot for the same service time.
   for (const ScheduleEntry& entry : bucket.entries) {
-    if (!entry.record.is_mirror() && !record.is_mirror() && entry.record.due == record.due &&
-        (entry.record.viewer != record.viewer || entry.record.instance != record.instance)) {
+    if (!entry.record().is_mirror() && !record.is_mirror() && entry.record().due == record.due &&
+        (entry.record().viewer != record.viewer || entry.record().instance != record.instance)) {
       return ApplyResult::kConflict;
     }
   }
   ScheduleEntry entry;
-  entry.record = record;
+  entry.record_ = record;
   entry.received = now;
   bucket.entries.push_back(entry);
   ++live_entries_;
+  if (log_landings_) {
+    landings_.push_back(record.DedupKey());
+  }
   return ApplyResult::kNew;
 }
 
@@ -73,8 +77,8 @@ ScheduleView::DescheduleOutcome ScheduleView::ApplyDeschedule(const DescheduleRe
   SlotBucket& bucket = GetOrCreateBucket(deschedule.slot);
   DescheduleOutcome outcome;
   auto matches = [&](const ScheduleEntry& entry) {
-    return entry.record.viewer == deschedule.viewer &&
-           entry.record.instance == deschedule.instance && entry.record.slot == deschedule.slot;
+    return entry.record().viewer == deschedule.viewer &&
+           entry.record().instance == deschedule.instance && entry.record().slot == deschedule.slot;
   };
   // Stable in-place partition by hand: std::stable_partition allocates a
   // temporary buffer on every call, and deschedules are forwarded around the
@@ -138,7 +142,7 @@ bool ScheduleView::SlotOccupiedAt(SlotId slot, TimePoint due) const {
     return false;
   }
   for (const ScheduleEntry& entry : it->second.entries) {
-    if (!entry.record.is_mirror() && entry.record.due == due) {
+    if (!entry.record().is_mirror() && entry.record().due == due) {
       return true;
     }
   }
@@ -151,7 +155,7 @@ bool ScheduleView::SlotBusyNear(SlotId slot, TimePoint due, Duration epsilon) co
     return false;
   }
   for (const ScheduleEntry& entry : it->second.entries) {
-    Duration gap = entry.record.due > due ? entry.record.due - due : due - entry.record.due;
+    Duration gap = entry.record().due > due ? entry.record().due - due : due - entry.record().due;
     if (gap < epsilon) {
       return true;
     }
@@ -160,12 +164,16 @@ bool ScheduleView::SlotBusyNear(SlotId slot, TimePoint due, Duration epsilon) co
 }
 
 ScheduleEntry* ScheduleView::Find(const ViewerStateRecord::Key& key) {
+  return const_cast<ScheduleEntry*>(std::as_const(*this).Find(key));
+}
+
+const ScheduleEntry* ScheduleView::Find(const ViewerStateRecord::Key& key) const {
   auto it = buckets_.find(SlotId(key.slot));
   if (it == buckets_.end()) {
     return nullptr;
   }
-  for (ScheduleEntry& entry : it->second.entries) {
-    if (entry.record.DedupKey() == key) {
+  for (const ScheduleEntry& entry : it->second.entries) {
+    if (entry.record().DedupKey() == key) {
       return &entry;
     }
   }
@@ -178,7 +186,7 @@ int ScheduleView::EvictBefore(TimePoint entry_horizon, TimePoint now) {
     SlotBucket& bucket = it->second;
     auto entry_end = std::remove_if(bucket.entries.begin(), bucket.entries.end(),
                                     [&](const ScheduleEntry& e) {
-                                      return e.record.due < entry_horizon;
+                                      return e.record().due < entry_horizon;
                                     });
     evicted += static_cast<int>(bucket.entries.end() - entry_end);
     live_entries_ -= static_cast<size_t>(bucket.entries.end() - entry_end);

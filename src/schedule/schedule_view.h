@@ -11,11 +11,19 @@
 //    viewer states arriving later than the deschedule hold window are
 //    discarded outright, so a viewer can never be spontaneously rescheduled
 //    (§4.1.2).
+//
+// An entry's record is read-only once it lands: only the view writes it, and
+// the cub sees it through a const accessor. Entries enter the view in one
+// place (ApplyViewerStateImpl), which also feeds the landing log the schedule
+// auditor drains — so the auditor checks each entry once, when it lands,
+// instead of re-walking every view, and the single check is exact because
+// nothing can change the record afterwards.
 
 #ifndef SRC_SCHEDULE_SCHEDULE_VIEW_H_
 #define SRC_SCHEDULE_SCHEDULE_VIEW_H_
 
 #include <cstdint>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -28,9 +36,16 @@
 
 namespace tiger {
 
-// Per-entry bookkeeping owned by the cub; the view only stores it.
+// Per-entry bookkeeping owned by the cub; the view only stores it. The
+// record is the view's: set when the entry lands and never written again.
 struct ScheduleEntry {
-  ViewerStateRecord record;
+  const ViewerStateRecord& record() const { return record_; }
+
+ private:
+  friend class ScheduleView;
+  ViewerStateRecord record_;  // First: the layout is the record, then bookkeeping.
+
+ public:
   TimePoint received;
   // --- cub-managed state ---
   bool read_issued = false;
@@ -50,6 +65,10 @@ struct ScheduleEntry {
   // block's declustered mirror chain; the primary's missed send is covered.
   bool mirror_recovery = false;
 };
+
+static_assert(!std::is_assignable_v<decltype(std::declval<ScheduleEntry&>().record()),
+                                    const ViewerStateRecord&>,
+              "a landed record is read-only outside ScheduleView");
 
 class ScheduleView {
  public:
@@ -125,6 +144,28 @@ class ScheduleView {
 
   // Entry lookup by dedup key; nullptr if absent.
   ScheduleEntry* Find(const ViewerStateRecord::Key& key);
+  const ScheduleEntry* Find(const ViewerStateRecord::Key& key) const;
+
+  // Landing log for the schedule auditor. Once enabled, every entry that
+  // lands appends its DedupKey, so the auditor's view diff visits only what
+  // arrived since its previous check. Off unless an audit observer has been
+  // attached; an un-audited view does no extra work.
+  void EnableLandingLog() { log_landings_ = true; }
+  // Calls fn(entry) for each entry landed since the last drain that is still
+  // in the view, in landing order, then empties the log (keeping its
+  // capacity). The log is audit bookkeeping, not schedule state, so draining
+  // works on a const view. Call only where no shard is applying records (the
+  // auditor drains at engine barriers).
+  template <typename Fn>
+  void DrainLandings(Fn&& fn) const {
+    for (const ViewerStateRecord::Key& key : landings_) {
+      if (const ScheduleEntry* entry = Find(key)) {
+        fn(*entry);
+      }
+    }
+    landings_.clear();
+  }
+  void ClearLandings() const { landings_.clear(); }
 
   // All live entries (cub iterates to drive reads/sends/forwards).
   template <typename Fn>
@@ -193,6 +234,8 @@ class ScheduleView {
   size_t live_holds_ = 0;    // Sum of bucket hold counts.
   Tracer* tracer_ = nullptr;
   TraceTrackId trace_track_ = 0;
+  bool log_landings_ = false;
+  mutable std::vector<ViewerStateRecord::Key, PoolAllocator<ViewerStateRecord::Key>> landings_;
 };
 
 }  // namespace tiger

@@ -55,6 +55,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #if defined(__x86_64__)
@@ -145,6 +146,15 @@ class Profiler {
     b.samples += count;
     b.self_ticks += self_ticks;
   }
+  // Extra operations for a scope already counted once (see ProfItemsScope);
+  // a sampled scope's operations are samples too. No ticks.
+  void AddOps(ProfCategory c, uint64_t ops, bool sampled) {
+    Bucket& b = buckets_[static_cast<size_t>(c)];
+    b.count += ops;
+    if (sampled) {
+      b.samples += ops;
+    }
+  }
   const Bucket& bucket(ProfCategory c) const {
     return buckets_[static_cast<size_t>(c)];
   }
@@ -219,12 +229,42 @@ class ProfScope {
   ProfScope(const ProfScope&) = delete;
   ProfScope& operator=(const ProfScope&) = delete;
 
+  // Whether this occurrence is timed (inside an armed event).
+  bool sampled() const { return bucket_ != nullptr; }
+
  private:
   static inline thread_local ProfScope* tls_top = nullptr;
   Profiler::Bucket* bucket_ = nullptr;
   ProfScope* parent_ = nullptr;
   uint64_t start_ticks_ = 0;
   uint64_t child_ticks_ = 0;
+};
+
+// A ProfScope counted as one operation per item of a batch, so a category
+// whose work is per record counts records, not batches (kVStateDecode counts
+// in the unit kVStateEncode does). `items` is read at scope exit, so it may
+// be filled inside the scope; the count costs no extra timer read. A sampled
+// occurrence adds its items to `samples` as well, keeping the count/samples
+// scaling of sampled time unbiased. An empty batch still counts once.
+template <typename Items>
+class ProfItemsScope {
+ public:
+  ProfItemsScope(ProfCategory c, const Items& items) : category_(c), items_(items), scope_(c) {}
+  ~ProfItemsScope() {
+    Profiler* p = Profiler::Current();
+    const uint64_t n = static_cast<uint64_t>(items_.size());
+    if (p != nullptr && n > 1) {
+      p->AddOps(category_, n - 1, scope_.sampled());
+    }
+  }
+
+  ProfItemsScope(const ProfItemsScope&) = delete;
+  ProfItemsScope& operator=(const ProfItemsScope&) = delete;
+
+ private:
+  ProfCategory category_;
+  const Items& items_;
+  ProfScope scope_;
 };
 
 // Installs a profiler for one scope and restores the previous one on exit,
@@ -369,8 +409,13 @@ std::string ProfilerChromeCounterEvents(const std::vector<ProfileSnapshot>& snap
 #define TIGER_PROF_SCOPE(cat)                                     \
   ::tiger::ProfScope TIGER_PROF_CONCAT(tiger_prof_scope_, __LINE__)( \
       ::tiger::ProfCategory::cat)
+// One count per element of `items` (a container read at scope exit).
+#define TIGER_PROF_ITEMS_SCOPE(cat, items)                                                  \
+  ::tiger::ProfItemsScope<std::remove_cvref_t<decltype(items)>> TIGER_PROF_CONCAT(          \
+      tiger_prof_scope_, __LINE__)(::tiger::ProfCategory::cat, items)
 #else
 #define TIGER_PROF_SCOPE(cat) ((void)0)
+#define TIGER_PROF_ITEMS_SCOPE(cat, items) ((void)0)
 #endif
 
 #endif  // SRC_TRACE_PROFILER_H_

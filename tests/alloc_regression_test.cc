@@ -125,17 +125,17 @@ TEST(AllocRegressionTest, DeschedulePathCostIsBoundedAndFullyTransient) {
     for (int c = 0; c < kCubs && victims.size() < kKills; ++c) {
       const_cast<ScheduleView&>(system.cub(CubId(static_cast<uint32_t>(c))).view())
           .ForEachEntry([&](ScheduleEntry& entry) {
-            if (entry.record.is_mirror() || entry.record.due <= now) {
+            if (entry.record().is_mirror() || entry.record().due <= now) {
               return;
             }
             for (const DescheduleRecord& v : victims) {
-              if (v.instance == entry.record.instance) {
+              if (v.instance == entry.record().instance) {
                 return;
               }
             }
             if (victims.size() < kKills) {
-              victims.push_back(DescheduleRecord{entry.record.viewer, entry.record.instance,
-                                                 entry.record.slot});
+              victims.push_back(DescheduleRecord{entry.record().viewer, entry.record().instance,
+                                                 entry.record().slot});
             }
           });
     }

@@ -498,6 +498,70 @@ TEST(AuditSystemTest, SelfCheckCorruptionIsCaughtAsExactlyADueMismatch) {
   }
 }
 
+TEST(AuditSystemTest, EntriesLandingWithoutEvidenceArePhantomsCountedOnce) {
+  // Blind one cub's audit hooks for a few seconds while new viewers start:
+  // their records land in its view with no evidence there, which the view
+  // diff must report as phantom records at that cub — once per entry, not
+  // once per check for as long as the entry stays in the view.
+  Testbed testbed(SmallConfig(), /*seed=*/17);
+  TigerSystem& system = testbed.system();
+  ScheduleAuditor auditor(&system.sim(), &system.config());
+  auditor.Attach(&system);
+  testbed.AddContent(4, Duration::Seconds(30));
+  testbed.Start();
+  auditor.Start();
+  testbed.AddViewer(FileId(0));
+  testbed.RunFor(Duration::Seconds(5));
+
+  const CubId blind(2);
+  Cub& cub = system.cub(blind);
+  auto landed = [&cub] { return cub.counters().records_new + cub.counters().inserts; };
+  const int64_t landed_before = landed();
+  cub.SetAuditObserver(nullptr);
+  for (int i = 1; i < 4; ++i) {
+    testbed.AddViewer(FileId(static_cast<uint32_t>(i)));
+  }
+  testbed.RunFor(Duration::Seconds(4));
+  const int64_t landed_blind = landed() - landed_before;
+  cub.SetAuditObserver(&auditor);
+  testbed.RunFor(Duration::Seconds(10));
+
+  const int64_t phantoms = auditor.CountFor(DivergenceClass::kPhantomRecord);
+  EXPECT_GT(phantoms, 0) << auditor.ReportJson();
+  for (const ScheduleAuditor::Divergence& d : auditor.divergences()) {
+    if (d.cls == DivergenceClass::kPhantomRecord) {
+      EXPECT_EQ(d.cub, static_cast<int64_t>(blind.value())) << d.detail;
+    }
+  }
+  EXPECT_LE(phantoms, landed_blind)
+      << "a phantom entry must be counted once, not on every check";
+}
+
+TEST(AuditSystemTest, ViewDiffWorkIsBoundedByLandings) {
+  // The view diff checks each landed entry once: its work is bounded by what
+  // the views accepted, never by view size times the number of checks.
+  Testbed testbed(SmallConfig(), /*seed=*/19);
+  TigerSystem& system = testbed.system();
+  ScheduleAuditor auditor(&system.sim(), &system.config());
+  auditor.Attach(&system);
+  testbed.AddContent(4, Duration::Seconds(20));
+  testbed.Start();
+  auditor.Start();
+  testbed.AddLoopingViewers(6, Duration::Seconds(2));
+  testbed.RunFor(Duration::Seconds(40));
+
+  int64_t accepted = 0;
+  for (int c = 0; c < system.cub_count(); ++c) {
+    const Cub::Counters& counters = system.cub(CubId(static_cast<uint32_t>(c))).counters();
+    accepted += counters.records_new + counters.inserts;
+  }
+  EXPECT_TRUE(auditor.healthy()) << auditor.ReportJson();
+  EXPECT_GT(auditor.checks_run(), 100);
+  EXPECT_GT(auditor.entries_audited(), 0);
+  EXPECT_LE(auditor.entries_audited(), accepted);
+  EXPECT_NE(auditor.ReportJson().find("\"entries_audited\": "), std::string::npos);
+}
+
 TEST(AuditSystemTest, ReportFilesRoundTrip) {
   Testbed testbed(SmallConfig(), /*seed=*/13);
   TigerSystem& system = testbed.system();

@@ -38,8 +38,8 @@ TEST(CubProtocolTest, ReplayedBatchIsAbsorbedIdempotently) {
   bool found = false;
   TimePoint now = system.sim().Now();
   const_cast<ScheduleView&>(target.view()).ForEachEntry([&](ScheduleEntry& entry) {
-    if (!found && !entry.record.is_mirror() && entry.record.due > now) {
-      captured = entry.record;
+    if (!found && !entry.record().is_mirror() && entry.record().due > now) {
+      captured = entry.record();
       found = true;
     }
   });
@@ -69,8 +69,8 @@ TEST(CubProtocolTest, DuplicateDescheduleForwardedOnlyOnce) {
   for (int c = 0; c < 4 && !found; ++c) {
     const_cast<ScheduleView&>(system.cub(CubId(static_cast<uint32_t>(c))).view())
         .ForEachEntry([&](ScheduleEntry& entry) {
-          if (!found && !entry.record.is_mirror()) {
-            captured = entry.record;
+          if (!found && !entry.record().is_mirror()) {
+            captured = entry.record();
             found = true;
           }
         });

@@ -83,9 +83,9 @@ TEST(IntegrationTest, ViewerStatesStayWithinLeadBounds) {
   for (int c = 0; c < 4; ++c) {
     Cub& cub = testbed.system().cub(CubId(static_cast<uint32_t>(c)));
     const_cast<ScheduleView&>(cub.view()).ForEachEntry([&](ScheduleEntry& entry) {
-      Duration lead = entry.record.due - entry.received;
+      Duration lead = entry.record().due - entry.received;
       EXPECT_LE(lead, config.max_vstate_lead + Duration::Seconds(1))
-          << "record " << entry.record.ToString() << " at cub " << c;
+          << "record " << entry.record().ToString() << " at cub " << c;
     });
   }
 }

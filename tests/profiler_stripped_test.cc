@@ -9,17 +9,21 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace tiger {
 namespace {
 
 TEST(ProfilerStrippedTest, MacroIsANoOpStatement) {
   Profiler prof;
   ScopedProfilerInstall install(&prof);
+  const std::vector<int> batch(3, 0);
   {
     // With profiling stripped this expands to ((void)0): legal as a plain
     // statement, records nothing even with a profiler installed.
     TIGER_PROF_SCOPE(kTimerDispatch);
     TIGER_PROF_SCOPE(kVStateDecode);
+    TIGER_PROF_ITEMS_SCOPE(kVStateDecode, batch);
   }
   for (int c = 0; c < kProfCategoryCount; ++c) {
     EXPECT_EQ(prof.bucket(static_cast<ProfCategory>(c)).count, 0u);

@@ -17,6 +17,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "src/audit/auditor.h"
 #include "src/core/config.h"
@@ -76,6 +77,40 @@ TEST(ProfScopeTest, SelfTimeExcludesNestedScopes) {
   // Exclusive-time contract: the parent was charged only for its own glue,
   // not the child's burn loop.
   EXPECT_LT(parent.self_ticks, child.self_ticks);
+}
+
+TEST(ProfScopeTest, ItemsScopeCountsOnePerItemReadAtExit) {
+  Profiler prof;
+  {
+    ScopedProfilerInstall install(&prof);
+    std::vector<int> batch;
+    {
+      TIGER_PROF_ITEMS_SCOPE(kVStateDecode, batch);
+      batch.assign(5, 0);  // Filled inside the scope, like a decode buffer.
+      BurnWork();
+    }
+    batch.clear();
+    {
+      TIGER_PROF_ITEMS_SCOPE(kVStateDecode, batch);  // Empty: still one.
+    }
+  }
+  const Profiler::Bucket& decode = prof.bucket(ProfCategory::kVStateDecode);
+  EXPECT_EQ(decode.count, 6u);
+  // A fresh profiler times every scope, so every item is a sample and the
+  // count/samples scaling of self time stays 1.
+  EXPECT_EQ(decode.samples, 6u);
+  EXPECT_GT(decode.self_ticks, 0u);
+
+  // Outside an armed event the items are counted but not sampled.
+  Profiler unarmed;
+  unarmed.ArmTiming(false);
+  {
+    ScopedProfilerInstall install(&unarmed);
+    const std::vector<int> batch(3, 0);
+    TIGER_PROF_ITEMS_SCOPE(kVStateDecode, batch);
+  }
+  EXPECT_EQ(unarmed.bucket(ProfCategory::kVStateDecode).count, 3u);
+  EXPECT_EQ(unarmed.bucket(ProfCategory::kVStateDecode).samples, 0u);
 }
 
 TEST(ProfScopeTest, NoProfilerInstalledRecordsNothing) {

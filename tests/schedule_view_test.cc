@@ -161,7 +161,7 @@ TEST_F(ScheduleViewTest, FindByKey) {
   view_.ApplyViewerState(record, now_);
   ScheduleEntry* entry = view_.Find(record.DedupKey());
   ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->record.sequence, 7);
+  EXPECT_EQ(entry->record().sequence, 7);
   ViewerStateRecord other = record;
   other.sequence = 8;
   EXPECT_EQ(view_.Find(other.DedupKey()), nullptr);
