@@ -37,11 +37,13 @@
 //                         (src/obs/flight_recorder.h) — the black-box
 //                         configuration an incident-capturing run uses.
 //                         Diffed against cub_ring_90pct_traced this prices
-//                         the recorder itself (sink call + ring copy +
-//                         periodic checkpoints) on top of the trace stream
-//                         it consumes. Checkpoints are engine barrier tasks,
-//                         so the recorder adds nothing to the event stream
-//                         (checked), and --recorder-overhead-max=F
+//                         the recorder itself: its periodic checkpoints
+//                         only, since its bundle window is read from the
+//                         tracer's rings when an incident is dumped and no
+//                         trace event passes through it. Checkpoints are
+//                         engine barrier tasks, so the recorder adds nothing
+//                         to the event stream (checked), and
+//                         --recorder-overhead-max=F
 //                         gates its marginal slowdown over the traced run
 //                         and the zero-allocation contract.
 //
@@ -398,10 +400,10 @@ struct CubRingVariant {
     } else if (mode == CubRingMode::kTraced) {
       dist->EnableTracing();
     } else if (mode == CubRingMode::kRecorded) {
-      // Implies EnableTracing(): the recorder consumes the typed trace stream
-      // through the sink slot. Against the traced variant this isolates the
-      // recorder's own cost — sink dispatch, packed ring store, 1/s
-      // checkpoint digests — from the trace emission both share.
+      // Implies EnableTracing(): the recorder reads its window from the
+      // tracer's rings at dump time. Against the traced variant this
+      // isolates the recorder's own cost — the 1/s checkpoint digests —
+      // from the trace emission both share.
       dist->EnableFlightRecorder();
     }
     const int streams =
@@ -462,10 +464,10 @@ struct CubRingVariant {
   CubRingOutcome Finish(const std::string& profile_prefix) {
     out.span_events = dist->processed_events() - span_start_events;
     if (mode == CubRingMode::kRecorded) {
-      // The overhead gate would be vacuous if the recorder never saw the
-      // stream.
+      // The overhead gate would be vacuous if the recorder never captured a
+      // checkpoint.
       TIGER_CHECK(dist->flight_recorder() != nullptr &&
-                  dist->flight_recorder()->recorded() > 0)
+                  dist->flight_recorder()->checkpoint_count() > 0)
           << "recorded variant ran without the flight recorder attached";
     }
     if (mode == CubRingMode::kProfiled && !profile_prefix.empty()) {

@@ -352,9 +352,8 @@ void TigerSystem::EnableFlightRecorder(FlightRecorder::Options options) {
   if (flight_recorder_) {
     return;
   }
-  EnableTracing();  // The recorder rides the live trace stream.
+  EnableTracing();  // The bundle window is read from the tracers' rings.
   flight_recorder_ = std::make_unique<FlightRecorder>(options, cub_count());
-  InstallTraceSink();
 }
 
 void TigerSystem::EnableSloMonitor(SloMonitor::Options options) {
@@ -411,12 +410,19 @@ bool TigerSystem::DumpIncident(const std::string& reason) {
                           std::to_string(incident_dirs_.size());
 
   std::vector<IncidentFile> files;
-  if (flight_recorder_ != nullptr && !tracers_.empty()) {
-    const std::vector<TraceEvent> window = flight_recorder_->WindowEvents();
+  if (flight_recorder_ != nullptr) {
+    std::vector<const Tracer*> shards;
+    uint64_t recorded = 0;
+    for (const auto& tracer : tracers_) {
+      shards.push_back(tracer.get());
+      recorded += tracer->recorded();
+    }
+    const std::vector<TraceEvent> window = flight_recorder_->WindowEvents(shards);
     const std::vector<std::string> names = tracers_[0]->TrackNames();
-    // Dropped = everything recorded that the window no longer holds, whether
-    // overwritten by the capacity bound or aged past the retention horizon.
-    const uint64_t dropped = flight_recorder_->recorded() - window.size();
+    // Dropped = everything recorded that the window does not hold: aged past
+    // the retention horizon, cut by the capacity bound, or overwritten when a
+    // track ring wrapped.
+    const uint64_t dropped = recorded - window.size();
     files.push_back({"flight_trace.txt", Tracer::TextDumpOf(window, names, dropped)});
     files.push_back({"flight_trace.json", Tracer::ChromeJsonOf(window, names, std::string())});
     files.push_back({"checkpoints.txt", flight_recorder_->CheckpointsText()});
@@ -427,8 +433,12 @@ bool TigerSystem::DumpIncident(const std::string& reason) {
   files.push_back({"qos_summary.txt", qos_ledger_.SummaryText()});
   files.push_back({"qos_glitches.csv", qos_ledger_.Csv()});
   if (metrics_ != nullptr && now > TimePoint::Zero()) {
-    SnapshotMetrics(TimePoint::Zero(), now);
-    files.push_back({"metrics.txt", metrics_->SummaryText()});
+    // A whole-run snapshot, taken on a copy: folding it into the live
+    // registry would leave its samples in the cumulative histograms every
+    // later time-series row reads.
+    MetricsRegistry snapshot = *metrics_;
+    SnapshotMetricsInto(&snapshot, TimePoint::Zero(), now);
+    files.push_back({"metrics.txt", snapshot.SummaryText()});
   }
   if (audit_observer_ != nullptr) {
     std::string report = audit_observer_->ReportJson();
@@ -472,14 +482,14 @@ bool TigerSystem::DumpIncident(const std::string& reason) {
   return true;
 }
 
-void TigerSystem::FoldShardMetrics() {
+void TigerSystem::FoldShardMetrics(MetricsRegistry* target) {
   // Accumulates every actor-written metric from the per-shard registries into
-  // the global one. Shard iteration order is fixed, registry maps are
+  // `target`. Shard iteration order is fixed, registry maps are
   // name-ordered, and histogram merges are deterministic for a fixed merge
   // order — so the fold is thread-count-invariant. Fold targets are rebuilt
   // from scratch each snapshot (counters/gauges zeroed, histograms Reset) so
   // repeated snapshots don't double-count.
-  MetricsRegistry& m = *metrics_;
+  MetricsRegistry& m = *target;
   for (const auto& shard : shard_metrics_) {
     for (const auto& [name, value] : shard->counters()) {
       m.Counter(name) = 0;
@@ -511,13 +521,16 @@ void TigerSystem::FoldShardMetrics() {
 }
 
 void TigerSystem::SnapshotMetrics(TimePoint a, TimePoint b) {
-  if (!metrics_) {
-    return;
+  if (metrics_) {
+    SnapshotMetricsInto(metrics_.get(), a, b);
   }
+}
+
+void TigerSystem::SnapshotMetricsInto(MetricsRegistry* target, TimePoint a, TimePoint b) {
   if (sharded()) {
-    FoldShardMetrics();
+    FoldShardMetrics(target);
   }
-  MetricsRegistry& m = *metrics_;
+  MetricsRegistry& m = *target;
   int64_t entries_total = 0;
   int64_t entries_max = 0;
   for (size_t c = 0; c < cubs_.size(); ++c) {
@@ -659,34 +672,15 @@ void TigerSystem::RunFor(Duration d) { RunUntil(engine_->Now() + d); }
 uint64_t TigerSystem::processed_events() const { return engine_->processed_events(); }
 
 void TigerSystem::SetTraceSink(TraceSink* sink) {
-  user_trace_sink_ = sink;
-  InstallTraceSink();
-}
-
-void TigerSystem::InstallTraceSink() {
-  TraceSink* effective = user_trace_sink_;
-#if TIGER_FLIGHT_RECORDER_ENABLED
-  if (flight_recorder_ != nullptr) {
-    if (user_trace_sink_ == nullptr) {
-      // Recorder alone: skip the fanout hop, it is the sink.
-      effective = flight_recorder_.get();
-    } else {
-      // One sink slot, two consumers: fan out to the user sink (the auditor)
-      // first, then the recorder — evidence order unchanged for the auditor.
-      trace_fanout_.Set(user_trace_sink_, flight_recorder_.get());
-      effective = &trace_fanout_;
-    }
-  }
-#endif
   TIGER_CHECK(!tracers_.empty()) << "SetTraceSink before EnableTracing";
   if (!sharded()) {
     // One shard records in global order already: the sink sees events as
     // they happen, with nothing to merge.
-    tracers_[0]->SetSink(effective);
+    tracers_[0]->SetSink(sink);
     return;
   }
-  trace_sink_ = effective;
-  if (effective != nullptr && trace_buffers_.empty()) {
+  trace_sink_ = sink;
+  if (sink != nullptr && trace_buffers_.empty()) {
     // Lazily interpose the per-shard buffers (and their barrier drain) only
     // when a live sink exists, so un-audited runs never buffer.
     for (size_t s = 0; s < tracers_.size(); ++s) {
@@ -695,7 +689,7 @@ void TigerSystem::InstallTraceSink() {
     engine_->AddBarrierHook([this] { DrainTraceBuffers(); });
   }
   for (size_t s = 0; s < tracers_.size(); ++s) {
-    tracers_[s]->SetSink(effective != nullptr ? trace_buffers_[s].get() : nullptr);
+    tracers_[s]->SetSink(sink != nullptr ? trace_buffers_[s].get() : nullptr);
   }
 }
 

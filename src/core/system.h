@@ -108,10 +108,10 @@ class TigerSystem {
   bool WriteProfile(const std::string& path) const;
 
   // --- black-box observability (src/obs; DESIGN.md §6j) ---
-  // Attaches the flight recorder to the live trace stream: a bounded,
-  // allocation-free ring keeping the last N sim-seconds of events plus
-  // periodic state checkpoints. Implies EnableTracing(). Coexists with
-  // SetTraceSink (a fan-out feeds both). Call before Start().
+  // Attaches the flight recorder: periodic state checkpoints, plus a bundle
+  // window read from the tracers' rings at dump time (the last N sim-seconds
+  // of events; no second copy of the trace). Implies EnableTracing(). Call
+  // before Start().
   void EnableFlightRecorder(FlightRecorder::Options options = {});
   FlightRecorder* flight_recorder() { return flight_recorder_.get(); }
 
@@ -282,13 +282,13 @@ class TigerSystem {
                      static_cast<double>(profile_wall_ticks_)
                : 1.0;
   }
-  // Folds per-shard metric registries into the global one (sharded only).
-  void FoldShardMetrics();
+  // SnapshotMetrics into `target`: the live registry, or the copy an
+  // incident dump renders so the run's telemetry is left as it was.
+  void SnapshotMetricsInto(MetricsRegistry* target, TimePoint a, TimePoint b);
+  // Folds per-shard metric registries into `target` (sharded only).
+  void FoldShardMetrics(MetricsRegistry* target);
   // Barrier hook: drains every shard's trace buffer into trace_sink_.
   void DrainTraceBuffers();
-  // Recomputes the effective tracer sink (user sink, recorder, or the
-  // fan-out of both) and installs it.
-  void InstallTraceSink();
   // Fills one flight-recorder checkpoint from barrier-consistent state.
   void CaptureFlightCheckpoint(TimePoint now);
   // Assembles and writes one tiger-incident-v1 bundle; false when capped or
@@ -308,12 +308,10 @@ class TigerSystem {
   std::vector<std::unique_ptr<Tracer>> tracers_;
   std::vector<std::unique_ptr<MetricsRegistry>> shard_metrics_;
   std::vector<std::unique_ptr<TraceBuffer>> trace_buffers_;
-  TraceSink* trace_sink_ = nullptr;       // Effective sink (may be the fan-out).
-  TraceSink* user_trace_sink_ = nullptr;  // What SetTraceSink was given.
+  TraceSink* trace_sink_ = nullptr;  // What SetTraceSink was given (sharded).
   // Black-box observability (DESIGN.md §6j).
   std::unique_ptr<FlightRecorder> flight_recorder_;
   std::unique_ptr<SloMonitor> slo_monitor_;
-  TraceFanout trace_fanout_;
   std::string incident_dir_;
   std::string incident_scenario_text_;
   std::vector<std::string> incident_dirs_;

@@ -7,6 +7,16 @@
 #include "src/common/check.h"
 
 namespace tiger {
+namespace {
+
+// The k-th newest event of a non-empty track ring whose overwrite cursor is
+// `next` (k = 0 is the newest). Before the ring fills, next stays 0 and the
+// newest is the last slot; after, the newest sits just behind the cursor.
+const TraceEvent& NthNewest(const std::vector<TraceEvent>& ring, size_t next, size_t k) {
+  return ring[(next + ring.size() - 1 - k) % ring.size()];
+}
+
+}  // namespace
 
 Tracer::Tracer(const Simulator* sim, Options options)
     : sim_(sim), options_(options), enabled_(options.enabled),
@@ -101,6 +111,7 @@ void Tracer::Complete(TraceTrackId track, TraceEventType type, TimePoint start, 
     return;
   }
   TIGER_DCHECK(dur >= Duration::Zero());
+  TIGER_DCHECK(start <= sim_->Now());  // AppendEventsSince relies on it.
   TraceEvent event;
   event.when = start;
   event.dur = dur;
@@ -125,6 +136,50 @@ std::vector<TraceEvent> Tracer::MergedEvents() const {
   std::sort(merged.begin(), merged.end(),
             [](const TraceEvent& x, const TraceEvent& y) { return x.seq < y.seq; });
   return merged;
+}
+
+const TraceEvent* Tracer::Newest() const {
+  const TraceEvent* newest = nullptr;
+  for (const Track& track : tracks_) {
+    if (!track.ring.empty()) {
+      const TraceEvent& event = NthNewest(track.ring, track.next, 0);
+      if (newest == nullptr || event.seq > newest->seq) {
+        newest = &event;
+      }
+    }
+  }
+  return newest;
+}
+
+void Tracer::AppendEventsSince(TimePoint horizon, std::vector<TraceEvent>* out) const {
+  // Two passes over the same tail: the first finds where each walk stops, so
+  // the copy reserves exactly once.
+  std::vector<size_t> depth(tracks_.size(), 0);
+  size_t walked = 0;
+  for (size_t t = 0; t < tracks_.size(); ++t) {
+    const Track& track = tracks_[t];
+    size_t k = 0;
+    for (; k < track.ring.size(); ++k) {
+      const TraceEvent& event = NthNewest(track.ring, track.next, k);
+      if (event.when < horizon && event.phase != TracePhase::kComplete) {
+        break;
+      }
+    }
+    depth[t] = k;
+    walked += k;
+  }
+  const size_t first = out->size();
+  out->reserve(first + walked);
+  for (size_t t = 0; t < tracks_.size(); ++t) {
+    for (size_t k = 0; k < depth[t]; ++k) {
+      const TraceEvent& event = NthNewest(tracks_[t].ring, tracks_[t].next, k);
+      if (event.when >= horizon) {
+        out->push_back(event);
+      }
+    }
+  }
+  std::sort(out->begin() + static_cast<std::ptrdiff_t>(first), out->end(),
+            [](const TraceEvent& x, const TraceEvent& y) { return x.seq < y.seq; });
 }
 
 const char* Tracer::TypeName(TraceEventType type) {

@@ -153,7 +153,7 @@ class Tracer {
   // matching EndFlow — possibly on another track — must pass back.
   uint64_t BeginFlow(TraceTrackId track, TraceEventType type, TraceArgs args = {});
   void EndFlow(TraceTrackId track, TraceEventType type, uint64_t flow, TraceArgs args = {});
-  // Records a self-contained span that ended now (or spans [start, start+dur]).
+  // Records a self-contained span [start, start+dur]; start is not after now.
   void Complete(TraceTrackId track, TraceEventType type, TimePoint start, Duration dur,
                 TraceArgs args = {});
 
@@ -171,6 +171,17 @@ class Tracer {
 
   // All retained events merged across tracks, in global recording order.
   std::vector<TraceEvent> MergedEvents() const;
+
+  // The most recently recorded retained event; nullptr when none is retained.
+  const TraceEvent* Newest() const;
+  // Appends the retained events with when >= horizon to *out, in global
+  // recording order. Walks each track's ring back from its newest event and
+  // stops at the first instant or flow event older than `horizon`: those
+  // carry their recording time, which never decreases along a track, while a
+  // complete span carries its start time (never after its recording time),
+  // so it is filtered but never ends the walk. Costs the events walked, not
+  // the rings — the flight recorder's bundle window reads the trace this way.
+  void AppendEventsSince(TimePoint horizon, std::vector<TraceEvent>* out) const;
 
   // One line per retained event; deterministic for a deterministic run.
   std::string TextDump() const;

@@ -1,27 +1,33 @@
 // Incident-bundle integration tests (tiger-incident-v1).
 //
-// Two contracts from the observability layer:
+// Three contracts from the observability layer:
 //
 //  1. Replayability (serial, frontier harness): a scenario that goes bad
 //     auto-dumps exactly one bundle; the byte-exact descriptor embedded in
 //     it replays — through the ordinary RunScenario path — to the verdict
 //     recorded in the bundle's outcome.txt.
 //
-//  2. Thread-count invariance (sharded engine): every logical-schedule-
+//  2. Dumping observes only: a bundle taken mid-run leaves the run's
+//     time series exactly as it would have been.
+//
+//  3. Thread-count invariance (sharded engine): every logical-schedule-
 //     derived file in a bundle is byte-identical between sim_threads=1 and
-//     sim_threads=4 at a fixed shard count, because the recorder consumes
-//     the barrier-merged trace stream and the monitor/checkpoints evaluate
-//     only at barriers (DESIGN.md §6h discipline applied to observability).
+//     sim_threads=4 at a fixed shard count, because the recorder's window
+//     merges the shards' tracers by (when, shard, recording order) and the
+//     monitor/checkpoints evaluate only at barriers (DESIGN.md §6h
+//     discipline applied to observability).
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/audit/auditor.h"
+#include "src/client/testbed.h"
 #include "src/core/system.h"
 #include "src/frontier/runner.h"
 #include "src/frontier/scenario.h"
@@ -129,6 +135,36 @@ TEST(ObsIncidentTest, BadScenarioDumpsOneReplayableBundle) {
   EXPECT_EQ(replayed.blocks_complete, outcome.blocks_complete);
 }
 
+TEST(ObsIncidentTest, FrontierRingsHoldTheWholeWindow) {
+  // The frontier runner traces into 4096-event track rings, and the bundle
+  // window is read from them. A ring that wrapped inside the 5 s horizon
+  // would put nearly all of its 4096 events in the window — everything
+  // recorded after the horizon except spans already open at it — so a
+  // window far below that on every track lost nothing to a wrap.
+  const std::string parent = FreshDir("rings");
+  frontier::RunOptions options;
+  options.incident_dir = parent;
+  frontier::RunScenario(LosingScenario(), options);
+  const std::vector<std::string> dirs = BundleDirs(parent);
+  ASSERT_EQ(dirs.size(), 1u);
+  std::istringstream in(ReadFile(dirs[0] + "/flight_trace.txt"));
+  std::map<std::string, int> per_track;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') {
+      continue;
+    }
+    std::istringstream fields(line);
+    std::string seq, when, track;
+    fields >> seq >> when >> track;
+    ++per_track[track];
+  }
+  ASSERT_FALSE(per_track.empty());
+  for (const auto& [track, events] : per_track) {
+    EXPECT_LT(events, 4096 / 2) << track;
+  }
+}
+
 TEST(ObsIncidentTest, CleanScenarioDumpsNothing) {
   const std::string parent = FreshDir("clean");
   frontier::ScenarioDescriptor d;
@@ -142,6 +178,37 @@ TEST(ObsIncidentTest, CleanScenarioDumpsNothing) {
   const frontier::ScenarioOutcome outcome = frontier::RunScenario(d, options);
   EXPECT_LE(outcome.verdict, frontier::Verdict::kDegraded);
   EXPECT_TRUE(BundleDirs(parent).empty());
+}
+
+// --- telemetry -------------------------------------------------------------
+
+// Runs a small data-plane system with the time series and the recorder on,
+// optionally dumping a bundle mid-run, and returns the time-series CSV.
+std::string TimeSeriesCsv(bool dump_mid_run) {
+  TigerConfig config;
+  config.shape.num_cubs = 6;
+  Testbed testbed(config, /*seed=*/9);
+  TigerSystem& system = testbed.system();
+  system.EnableTimeSeries(Duration::Seconds(1));
+  system.EnableFlightRecorder();
+  system.SetIncidentDir(FreshDir(dump_mid_run ? "csv_dump" : "csv_quiet"));
+  testbed.AddContent(6, Duration::Seconds(120));
+  testbed.Start();
+  testbed.AddLoopingViewers(24, Duration::Millis(250));
+  testbed.RunUntil(TimePoint::Zero() + Duration::Seconds(10));
+  if (dump_mid_run) {
+    EXPECT_TRUE(system.TriggerIncident("mid_run"));
+  }
+  testbed.RunUntil(TimePoint::Zero() + Duration::Seconds(20));
+  return system.timeseries()->Csv();
+}
+
+TEST(ObsIncidentTest, DumpLeavesTheTimeSeriesUntouched) {
+  // The bundle's metrics.txt is a whole-run snapshot; taking it must not add
+  // samples to the cumulative histograms later time-series rows report.
+  const std::string quiet = TimeSeriesCsv(false);
+  EXPECT_NE(quiet.find("disk.busy_fraction"), std::string::npos);
+  EXPECT_EQ(TimeSeriesCsv(true), quiet);
 }
 
 // --- sharded engine ---------------------------------------------------------

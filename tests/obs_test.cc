@@ -1,7 +1,11 @@
-// Unit tests for the observability layer: the FlightRecorder's bounded
-// window + checkpoint rings, the TraceFanout tee, and the SloMonitor's
-// burn-rate math, probe breaches and deterministic state rendering.
+// Unit tests for the observability layer: the FlightRecorder's window —
+// a bounded read of the tracers' rings — and checkpoint ring, and the
+// SloMonitor's burn-rate math, probe breaches and deterministic state
+// rendering.
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -9,6 +13,8 @@
 
 #include "src/common/ids.h"
 #include "src/common/time.h"
+#include "src/core/system.h"
+#include "src/net/network.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/slo_monitor.h"
 #include "src/stats/qos.h"
@@ -18,66 +24,94 @@ namespace {
 
 TimePoint At(int64_t seconds) { return TimePoint::Zero() + Duration::Seconds(seconds); }
 
-TraceEvent EventAt(int64_t seconds, uint64_t seq = 0) {
-  TraceEvent e;
-  e.seq = seq;
-  e.when = At(seconds);
-  e.track = 0;
-  e.type = TraceEventType::kBlockSent;
-  return e;
+// Records one BLOCK_SENT instant (a = the second) at each whole second in
+// [first, last] on `track`.
+void InstantEachSecond(Simulator* sim, Tracer* tracer, TraceTrackId track, int64_t first,
+                       int64_t last) {
+  for (int64_t s = first; s <= last; ++s) {
+    sim->RunUntil(At(s));
+    tracer->Instant(track, TraceEventType::kBlockSent, TraceArgs{.a = s});
+  }
+}
+
+FlightRecorder::Options Window(int64_t retention_s, size_t capacity) {
+  FlightRecorder::Options options;
+  options.retention = Duration::Seconds(retention_s);
+  options.capacity = capacity;
+  return options;
 }
 
 TEST(FlightRecorderTest, RetainsOnlyTheTimeWindow) {
-  FlightRecorder::Options options;
-  options.retention = Duration::Seconds(5);
-  options.capacity = 100;
-  FlightRecorder recorder(options, /*num_cubs=*/2);
-  for (int64_t s = 0; s <= 10; ++s) {
-    recorder.OnTraceEvent(EventAt(s, static_cast<uint64_t>(s)));
-  }
-  // Newest is at 10s; everything older than 5s ago (i.e. before 5s) falls
-  // outside the window. Those events still sit in the (non-full) ring —
-  // retention is applied at render time, not on the record path — so the
-  // capacity-eviction counter stays at zero and a dump's "dropped" figure is
-  // recorded() - window_size().
-  EXPECT_EQ(recorder.recorded(), 11u);
-  EXPECT_EQ(recorder.window_size(), 6u);
-  EXPECT_EQ(recorder.evicted(), 0u);
-  EXPECT_EQ(recorder.recorded() - recorder.window_size(), 5u);
-  const std::vector<TraceEvent> window = recorder.WindowEvents();
+  Simulator sim;
+  Tracer tracer(&sim);
+  const TraceTrackId track = tracer.RegisterTrack("cub0");
+  InstantEachSecond(&sim, &tracer, track, 0, 10);
+  const FlightRecorder recorder(Window(5, 100), /*num_cubs=*/2);
+  // Newest is at 10s; everything before 5s falls outside the window, though
+  // it still sits in the tracer's ring.
+  const std::vector<TraceEvent> window = recorder.WindowEvents({&tracer});
   ASSERT_EQ(window.size(), 6u);
   EXPECT_EQ(window.front().when, At(5));
   EXPECT_EQ(window.back().when, At(10));
+  EXPECT_EQ(tracer.MergedEvents().size(), 11u);
 }
 
 TEST(FlightRecorderTest, CapacityEvictsOldestEvenInsideWindow) {
-  FlightRecorder::Options options;
-  options.retention = Duration::Seconds(1000);
-  options.capacity = 4;
-  FlightRecorder recorder(options, 1);
-  for (int64_t s = 0; s < 10; ++s) {
-    recorder.OnTraceEvent(EventAt(s));
-  }
-  EXPECT_EQ(recorder.window_size(), 4u);
-  EXPECT_EQ(recorder.evicted(), 6u);
-  const std::vector<TraceEvent> window = recorder.WindowEvents();
+  Simulator sim;
+  Tracer tracer(&sim);
+  const TraceTrackId track = tracer.RegisterTrack("cub0");
+  InstantEachSecond(&sim, &tracer, track, 0, 9);
+  const FlightRecorder recorder(Window(1000, 4), 1);
+  const std::vector<TraceEvent> window = recorder.WindowEvents({&tracer});
   ASSERT_EQ(window.size(), 4u);
   EXPECT_EQ(window.front().when, At(6));
   EXPECT_EQ(window.back().when, At(9));
 }
 
 TEST(FlightRecorderTest, WindowEventsRenumbersSeqOldestFirst) {
-  FlightRecorder::Options options;
-  options.capacity = 8;
-  FlightRecorder recorder(options, 1);
-  for (int64_t s = 0; s < 3; ++s) {
-    recorder.OnTraceEvent(EventAt(s, /*seq=*/900 + static_cast<uint64_t>(s)));
+  Simulator sim;
+  Tracer tracer(&sim);
+  const TraceTrackId track = tracer.RegisterTrack("cub0");
+  for (int i = 0; i < 900; ++i) {
+    tracer.Instant(track, TraceEventType::kBlockSent);  // All at t=0.
   }
-  const std::vector<TraceEvent> window = recorder.WindowEvents();
+  InstantEachSecond(&sim, &tracer, track, 10, 12);
+  const FlightRecorder recorder(Window(5, 8), 1);
+  const std::vector<TraceEvent> window = recorder.WindowEvents({&tracer});
   ASSERT_EQ(window.size(), 3u);
   for (size_t i = 0; i < window.size(); ++i) {
-    EXPECT_EQ(window[i].seq, i + 1);  // Renumbered for the dump renderers.
+    EXPECT_EQ(window[i].args.a, 10 + static_cast<int64_t>(i));
+    EXPECT_EQ(window[i].seq, i + 1);  // Tracer seq 901.., renumbered for the dump.
   }
+}
+
+TEST(FlightRecorderTest, OldSpanIsFilteredWithoutEndingTheWalk) {
+  Simulator sim;
+  Tracer tracer(&sim);
+  const TraceTrackId track = tracer.RegisterTrack("disk0");
+  tracer.Instant(track, TraceEventType::kBlockSent, TraceArgs{.a = 0});  // Ends the walk.
+  sim.RunUntil(At(6));
+  tracer.Instant(track, TraceEventType::kBlockSent, TraceArgs{.a = 6});
+  sim.RunUntil(At(7));
+  // A span recorded inside the window that started before its horizon...
+  tracer.Complete(track, TraceEventType::kDiskService, At(1), Duration::Seconds(6),
+                  TraceArgs{.a = 1});
+  sim.RunUntil(At(8));
+  // ...and one that started inside it.
+  tracer.Complete(track, TraceEventType::kDiskService, At(7), Duration::Seconds(1),
+                  TraceArgs{.a = 7});
+  sim.RunUntil(At(10));
+  tracer.Instant(track, TraceEventType::kBlockSent, TraceArgs{.a = 10});
+
+  // Horizon at 5s: the span that starts at 1s is out, and the walk must go
+  // on past it to the instant at 6s.
+  const FlightRecorder recorder(Window(5, 100), 1);
+  const std::vector<TraceEvent> window = recorder.WindowEvents({&tracer});
+  ASSERT_EQ(window.size(), 3u);
+  EXPECT_EQ(window[0].args.a, 6);
+  EXPECT_EQ(window[1].args.a, 7);
+  EXPECT_EQ(window[1].phase, TracePhase::kComplete);
+  EXPECT_EQ(window[2].args.a, 10);
 }
 
 TEST(FlightRecorderTest, CheckpointRingReusesOldestSlot) {
@@ -116,33 +150,161 @@ TEST(FlightRecorderTest, ReusedCheckpointSlotIsZeroed) {
   EXPECT_EQ(second->when, At(2));
 }
 
-class RecordingSink : public TraceSink {
- public:
-  void OnTraceEvent(const TraceEvent& event) override { seen.push_back(event.when); }
-  std::vector<TimePoint> seen;
-};
+// ---------------------------------------------------------------------------
+// The bundle window of a running system
 
-TEST(TraceFanoutTest, FeedsPrimaryAndRecorder) {
-  FlightRecorder::Options options;
-  options.capacity = 8;
-  FlightRecorder recorder(options, 1);
-  RecordingSink primary;
-  TraceFanout fanout;
-  fanout.Set(&primary, &recorder);
-  fanout.OnTraceEvent(EventAt(1));
-  fanout.OnTraceEvent(EventAt(2));
-  ASSERT_EQ(primary.seen.size(), 2u);
-  EXPECT_EQ(recorder.window_size(), 2u);
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << "missing " << path;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
 }
 
-TEST(TraceFanoutTest, NullPrimaryIsFine) {
-  FlightRecorder::Options options;
-  options.capacity = 8;
-  FlightRecorder recorder(options, 1);
-  TraceFanout fanout;
-  fanout.Set(nullptr, &recorder);
-  fanout.OnTraceEvent(EventAt(1));
-  EXPECT_EQ(recorder.window_size(), 1u);
+// A control-plane ring of 8 cubs bootstrapped to half load, one cub cut at
+// 3 s, with the flight recorder on; one bundle is dumped at 8 s.
+class RecorderRun {
+ public:
+  static constexpr uint64_t kSeed = 5;
+
+  RecorderRun(int shards, FlightRecorder::Options options, size_t ring_capacity,
+              const std::string& tag)
+      : system_(Config(shards), kSeed),
+        dir_(testing::TempDir() + "/obs_window_" + tag) {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    system_.EnableTracing(ring_capacity);
+    system_.EnableFlightRecorder(options);
+    system_.SetIncidentDir(dir_);
+    const TigerConfig& config = system_.config();
+    const NetAddress sink = system_.net().Attach(&sink_, "sink", config.client_nic_bps);
+    const int streams = config.MaxStreams() / 2;
+    const FileId file =
+        system_
+            .AddFile("content", config.max_stream_bps,
+                     config.block_play_time * (config.shape.TotalDisks() + 600))
+            .value();
+    EXPECT_EQ(system_.BootstrapStreams(streams, sink, file, config.max_stream_bps), streams);
+    system_.FailCubAt(At(3), CubId(2));
+    system_.Start();
+    system_.RunUntil(At(8));
+    EXPECT_TRUE(system_.TriggerIncident("window_test"));
+  }
+
+  TigerSystem& system() { return system_; }
+  std::string FlightTrace() const {
+    return ReadFile(dir_ + "/incident_s" + std::to_string(kSeed) + "_0/flight_trace.txt");
+  }
+
+ private:
+  static TigerConfig Config(int shards) {
+    TigerConfig config;
+    config.shape.num_cubs = 8;
+    config.simulate_data_plane = false;
+    config.sim_shards = shards;
+    config.sim_threads = 1;
+    return config;
+  }
+
+  TigerSystem system_;
+  std::string dir_;
+  SinkEndpoint sink_;
+};
+
+// What the window must be: the newest `capacity` of the merged trace's
+// events within `retention` of its last one, renumbered.
+std::vector<TraceEvent> ExpectedWindow(const std::vector<TraceEvent>& merged,
+                                       const FlightRecorder::Options& options,
+                                       size_t* in_horizon) {
+  std::vector<TraceEvent> window;
+  const TimePoint horizon = merged.back().when - options.retention;
+  for (const TraceEvent& event : merged) {
+    if (event.when >= horizon) {
+      window.push_back(event);
+    }
+  }
+  *in_horizon = window.size();
+  if (window.size() > options.capacity) {
+    window.erase(window.begin(),
+                 window.end() - static_cast<std::ptrdiff_t>(options.capacity));
+  }
+  for (size_t i = 0; i < window.size(); ++i) {
+    window[i].seq = i + 1;
+  }
+  return window;
+}
+
+TEST(FlightRecorderWindowTest, WindowIsTheCappedFilteredSuffixOfTheMergedTrace) {
+  for (const int shards : {1, 4}) {
+    // The first bound is set by the horizon, the second by the capacity.
+    for (const size_t capacity : {size_t{65536}, size_t{700}}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " capacity=" + std::to_string(capacity));
+      const FlightRecorder::Options options = Window(2, capacity);
+      RecorderRun run(shards, options, 32768,
+                      "suffix_" + std::to_string(shards) + "_" + std::to_string(capacity));
+      const std::vector<TraceEvent> merged = run.system().MergedTraceEvents();
+      ASSERT_FALSE(merged.empty());
+      size_t in_horizon = 0;
+      const std::vector<TraceEvent> expected = ExpectedWindow(merged, options, &in_horizon);
+      EXPECT_LT(in_horizon, merged.size());
+      if (capacity == 700) {
+        EXPECT_GT(in_horizon, capacity) << "the capacity must bind";
+      } else {
+        EXPECT_LT(in_horizon, capacity) << "the horizon must bind";
+      }
+      const uint64_t recorded = merged.size() + run.system().TraceDropped();
+      EXPECT_EQ(run.FlightTrace(),
+                Tracer::TextDumpOf(expected, run.system().tracer()->TrackNames(),
+                                   recorded - expected.size()));
+    }
+  }
+}
+
+struct DumpCounts {
+  uint64_t dropped = 0;
+  std::vector<std::string> events;  // Event lines without their seq column.
+};
+
+DumpCounts ParseDump(const std::string& text) {
+  DumpCounts counts;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("# WARNING: ring buffers dropped ", 0) == 0) {
+      counts.dropped = std::stoull(line.substr(32));
+    } else {
+      counts.events.push_back(line.substr(line.find(' ')));
+    }
+  }
+  return counts;
+}
+
+TEST(FlightRecorderWindowTest, RingWrapInsideTheHorizonCountsAsDropped) {
+  const FlightRecorder::Options options = Window(5, 65536);
+  RecorderRun wide(1, options, 32768, "wrap_wide");
+  RecorderRun tight(1, options, 64, "wrap_tight");
+  // Tracing never changes the run, so both recorded the same events; only
+  // the tight rings wrapped inside the 5 s horizon.
+  const uint64_t recorded = wide.system().tracer()->recorded();
+  ASSERT_EQ(tight.system().tracer()->recorded(), recorded);
+  EXPECT_EQ(wide.system().TraceDropped(), 0u);
+  const DumpCounts w = ParseDump(wide.FlightTrace());
+  const DumpCounts t = ParseDump(tight.FlightTrace());
+  EXPECT_EQ(w.dropped + w.events.size(), recorded);
+  EXPECT_EQ(t.dropped + t.events.size(), recorded);
+  EXPECT_LT(t.events.size(), w.events.size());
+  EXPECT_GT(t.dropped, w.dropped);
+  // What the tight rings still hold is shown as it is: a subsequence of the
+  // full window.
+  size_t next = 0;
+  for (const std::string& event : t.events) {
+    while (next < w.events.size() && w.events[next] != event) {
+      ++next;
+    }
+    ASSERT_LT(next, w.events.size()) << "not in the full window: " << event;
+    ++next;
+  }
 }
 
 // ---------------------------------------------------------------------------
