@@ -1,5 +1,6 @@
 // ShardEngine unit tests: window derivation, cross-shard merge determinism,
-// boundary arrivals, the epoch-clamp fallback, and barrier-task cadence.
+// boundary arrivals, the epoch-clamp fallback, barrier-task cadence, and the
+// spin-then-park window hand-off (stress, shutdown, idle parking).
 //
 // The load-bearing property is thread-count invariance: with the shard count
 // fixed, every observable (journal order, event counts, clock) must be
@@ -11,8 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include <time.h>
+
+#include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 
 #include "src/common/time.h"
 
@@ -201,6 +206,117 @@ TEST(ShardEngineTest, OneShardAppliesJournalInPlaceAndStopsOnlyForTasks) {
             "journal@400us\nevent@400us\n"
             "task@666us\n");
   EXPECT_EQ(engine.Now(), TimePoint::FromMicros(700));
+}
+
+// Hand-off stress load: every shard ticks once per window, and each tick
+// journals itself and posts to another shard with a varying delay, so every
+// window carries local events, cross-shard deliveries and journal entries.
+struct Churn {
+  ShardEngine* engine = nullptr;
+  std::string* log = nullptr;
+
+  static void Append(std::string* out, const char* what, TimePoint at, int shard,
+                     uint64_t n) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%s t=%lld s=%d n=%llu\n", what,
+                  static_cast<long long>(at.micros()), shard,
+                  static_cast<unsigned long long>(n));
+    *out += buf;
+  }
+
+  void Tick(int shard, uint64_t n) {
+    const TimePoint now = engine->shard(shard).Now();
+    std::string* out = log;
+    ShardEngine::JournalAppend([out, now, shard, n] { Append(out, "tick", now, shard, n); });
+    const int dst = static_cast<int>((static_cast<uint64_t>(shard) + 1 + n % 7) %
+                                     static_cast<uint64_t>(engine->shards()));
+    const Duration delay = Duration::Micros(300 + static_cast<int64_t>(n * 37 % 500));
+    engine->Post(dst, now + delay, [this, dst, n] {
+      const TimePoint at = engine->shard(dst).Now();
+      std::string* sink = log;
+      ShardEngine::JournalAppend([sink, at, dst, n] { Append(sink, "recv", at, dst, n); });
+    });
+    engine->shard(shard).ScheduleAfter(Duration::Micros(250),
+                                       [this, shard, n] { Tick(shard, n + 1); });
+  }
+};
+
+constexpr int kStressWindows = 12000;
+
+std::string RunChurn(int threads, uint64_t* clamped) {
+  ShardEngine engine({8, threads, Duration::Micros(300)});
+  std::string log;
+  Churn churn{&engine, &log};
+  for (int s = 0; s < engine.shards(); ++s) {
+    engine.shard(s).ScheduleAt(TimePoint::FromMicros(10 + 29 * s),
+                               [&churn, s] { churn.Tick(s, 0); });
+  }
+  // A task every window: the barrier phase runs between every hand-off.
+  engine.AddPeriodicTask(engine.window(), [&engine, &log] {
+    Churn::Append(&log, "task", engine.Now(), -1, engine.processed_events());
+  });
+  // Several RunUntil calls, so workers also cross the return to the caller.
+  for (int chunk = 1; chunk <= 4; ++chunk) {
+    engine.RunUntil(TimePoint::Zero() + engine.window() * (kStressWindows / 4 * chunk));
+  }
+  *clamped = engine.clamped_posts();
+  return log;
+}
+
+TEST(ShardEngineHandoffTest, StressManyShortWindowsMatchesOneThread) {
+  uint64_t clamped1 = 0;
+  uint64_t clamped4 = 0;
+  const std::string serial = RunChurn(1, &clamped1);
+  const std::string parallel = RunChurn(4, &clamped4);
+  EXPECT_EQ(clamped1, 0u);
+  EXPECT_EQ(clamped4, 0u);
+  // One task line per window, plus the shards' ticks and deliveries.
+  EXPECT_GT(serial.size(), static_cast<size_t>(kStressWindows) * 17 * 16);
+  // Not EXPECT_EQ: a mismatch would print two multi-megabyte logs.
+  EXPECT_TRUE(serial == parallel) << "4-thread delivery/apply sequence diverged";
+}
+
+TEST(ShardEngineHandoffTest, DestroyRightAfterRunUntilReturns) {
+  // Workers are still spinning on the epoch when the destructor bumps it.
+  for (int rep = 0; rep < 200; ++rep) {
+    ShardEngine engine({8, 4, Duration::Micros(300)});
+    int fired = 0;
+    for (int s = 0; s < engine.shards(); ++s) {
+      engine.Post(s, TimePoint::FromMicros(100 + s), [&engine, &fired, s] {
+        engine.Post((s + 1) % engine.shards(), engine.shard(s).Now() + Duration::Micros(300),
+                    [] {});
+        ShardEngine::JournalAppend([&fired] { ++fired; });
+      });
+    }
+    engine.RunUntil(TimePoint::FromMicros(1000));
+    ASSERT_EQ(fired, 8);
+  }
+}
+
+TEST(ShardEngineHandoffTest, DestroyWithoutRunningAWindow) {
+  for (int rep = 0; rep < 200; ++rep) {
+    ShardEngine engine({8, 4, Duration::Micros(300)});
+    EXPECT_EQ(engine.threads(), 4);
+  }
+}
+
+// A bounded spin must not become a busy-wait: once RunUntil has returned,
+// the workers park and the process stops burning CPU.
+TEST(ShardEngineHandoffTest, IdleWorkersPark) {
+  ShardEngine engine({8, 4, Duration::Micros(300)});
+  for (int s = 0; s < engine.shards(); ++s) {
+    engine.Post(s, TimePoint::FromMicros(100), [] {});
+  }
+  engine.RunUntil(TimePoint::FromMicros(10000));
+  auto cpu_ms = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) / 1e6;
+  };
+  const double before = cpu_ms();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const double used = cpu_ms() - before;
+  EXPECT_LT(used, 20.0) << "idle engine burned " << used << " ms of CPU in 100 ms";
 }
 
 }  // namespace
