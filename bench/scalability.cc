@@ -99,20 +99,18 @@ Row MeasureSize(int cubs, uint64_t seed, Duration run, Duration window) {
 //
 // The observability layer must be free when it is off: the control-plane hot
 // path pays one null-pointer check per trace point when tracing was never
-// enabled, and one predictable branch when attached but disabled. This
-// section measures all three modes on the same seeded workload and prints
-// the wall-clock deltas (acceptance: disabled-mode regression < 2%).
+// enabled. This section measures both modes on the same seeded workload and
+// prints the wall-clock delta of recording.
 
-enum class TraceMode { kAbsent, kAttachedDisabled, kRecording };
+enum class TraceMode { kAbsent, kRecording };
 
 double RunDistributedOnce(uint64_t seed, int cubs, Duration run, TraceMode mode,
                           uint64_t* events_recorded, bool print_metrics) {
   TigerConfig config = ConfigForSize(cubs);
   TigerSystem dist(config, seed);
   const int streams = static_cast<int>(static_cast<double>(config.MaxStreams()) * 0.9);
-  if (mode != TraceMode::kAbsent) {
+  if (mode == TraceMode::kRecording) {
     dist.EnableTracing();
-    dist.tracer()->set_enabled(mode == TraceMode::kRecording);
   }
   SinkEndpoint sink;
   NetAddress sink_addr = dist.net().Attach(&sink, "sink", config.client_nic_bps);
@@ -147,14 +145,10 @@ void MeasureTracingOverhead(uint64_t seed, bool quick) {
   const int reps = quick ? 3 : 5;
   uint64_t recorded = 0;
   double absent = 1e30;
-  double disabled = 1e30;
   double recording = 1e30;
   for (int i = 0; i < reps; ++i) {
     absent = std::min(absent,
                       RunDistributedOnce(seed, cubs, run, TraceMode::kAbsent, nullptr, false));
-    disabled = std::min(disabled, RunDistributedOnce(seed, cubs, run,
-                                                     TraceMode::kAttachedDisabled, nullptr,
-                                                     false));
     recording = std::min(
         recording, RunDistributedOnce(seed, cubs, run, TraceMode::kRecording, &recorded,
                                       /*print_metrics=*/i == reps - 1));
@@ -164,11 +158,6 @@ void MeasureTracingOverhead(uint64_t seed, bool quick) {
               static_cast<double>(run.micros()) / 1e6);
   TextTable table({"mode", "wall_s", "vs_absent%", "events"});
   table.Row().Str("absent").Double(absent, 3).Str("-").Int(0);
-  table.Row()
-      .Str("attached-disabled")
-      .Double(disabled, 3)
-      .Percent(disabled / absent - 1.0, 2)
-      .Int(0);
   table.Row()
       .Str("recording")
       .Double(recording, 3)

@@ -27,8 +27,8 @@
 //                         schedule — checked, not assumed), and
 //                         --profile-overhead-max=F turns the slowdown into a
 //                         CI gate;
-//   cub_ring_90pct_traced the same system with typed tracing on but no
-//                         sink — prices trace *emission* alone, which
+//   cub_ring_90pct_traced the same system with typed tracing on — prices
+//                         trace *emission* alone, which
 //                         measures ~25% on this workload (every protocol
 //                         event records into per-track rings). Tracing is
 //                         opt-in per run, so that cost is not gated; the

@@ -116,12 +116,6 @@ void ScheduleAuditor::Attach(TigerSystem* system) {
   TIGER_CHECK(system != nullptr);
   system_ = system;
   system->SetAuditObserver(this);
-  if (system->tracer() != nullptr) {
-    // Through the system, not the tracer directly: sharded runs interpose
-    // per-shard buffers drained at barriers so the cross-check stream is
-    // thread-count-invariant.
-    system->SetTraceSink(this);
-  }
 }
 
 void ScheduleAuditor::Start() {
@@ -463,21 +457,6 @@ void ScheduleAuditor::OnKill(TimePoint when, uint32_t at, const DescheduleRecord
 }
 
 // ---------------------------------------------------------------------------
-// TraceSink
-// ---------------------------------------------------------------------------
-
-void ScheduleAuditor::OnTraceEvent(const TraceEvent& event) {
-  TIGER_PROF_SCOPE(kQosAudit);
-  trace_events_seen_++;
-  // Cross-check: every lineage hop in the live stream must name a chain the
-  // evidence hooks have already introduced (hooks fire in the same call).
-  if (event.type == TraceEventType::kLineageHop && event.args.a >= 0 &&
-      !chains_.contains(static_cast<uint64_t>(event.args.a))) {
-    trace_unknown_chains_++;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Periodic resolution & view diff
 // ---------------------------------------------------------------------------
 
@@ -632,8 +611,6 @@ std::string ScheduleAuditor::ReportJson() const {
   Appendf(&out, "    \"untagged_records\": %" PRId64 ",\n", untagged_records_);
   Appendf(&out, "    \"untagged_view_entries\": %" PRId64 ",\n", untagged_view_entries_);
   Appendf(&out, "    \"entries_audited\": %" PRId64 ",\n", entries_audited_);
-  Appendf(&out, "    \"trace_events_seen\": %" PRId64 ",\n", trace_events_seen_);
-  Appendf(&out, "    \"trace_unknown_chains\": %" PRId64 ",\n", trace_unknown_chains_);
   Appendf(&out, "    \"checks_run\": %" PRId64 ",\n", checks_run_);
   Appendf(&out, "    \"divergences_overflow\": %" PRId64 "\n", divergences_overflow_);
   out += "  },\n  \"divergences\": [";
@@ -666,10 +643,6 @@ std::string ScheduleAuditor::ReportCsv() const {
 
 bool ScheduleAuditor::WriteReportJson(const std::string& path) const {
   return WriteFile(path, ReportJson());
-}
-
-bool ScheduleAuditor::WriteReportCsv(const std::string& path) const {
-  return WriteFile(path, ReportCsv());
 }
 
 // ---------------------------------------------------------------------------

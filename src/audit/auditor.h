@@ -4,10 +4,9 @@
 // Tiger deliberately has no global schedule — §4 calls the distributed state
 // a "coherent hallucination". The auditor is the offline proof of coherence:
 // it subscribes to the causal lineage evidence cubs emit (record creations,
-// forwards, receives, TTL drops, kills; see src/core/audit_hooks.h) and to
-// the Tracer's live event stream, maintains a *shadow* global schedule from
-// that evidence alone, and diffs the shadow against every living cub's local
-// window.
+// forwards, receives, TTL drops, kills; see src/core/audit_hooks.h),
+// maintains a *shadow* global schedule from that evidence alone, and diffs the
+// shadow against every living cub's local window.
 //
 // The diff checks each view entry once, when it lands, not every entry on
 // every check: each cub's ScheduleView logs the entries that land while an
@@ -69,13 +68,12 @@
 #include "src/core/config.h"
 #include "src/net/payload_pool.h"
 #include "src/sim/actor.h"
-#include "src/trace/trace.h"
 
 namespace tiger {
 
 class TigerSystem;
 
-class ScheduleAuditor : public Actor, public AuditObserver, public TraceSink {
+class ScheduleAuditor : public Actor, public AuditObserver {
  public:
   enum class DivergenceClass : uint8_t {
     kStaleOwnership = 0,
@@ -156,9 +154,8 @@ class ScheduleAuditor : public Actor, public AuditObserver, public TraceSink {
       : ScheduleAuditor(sim, config, Options()) {}
   ScheduleAuditor(Simulator* sim, const TigerConfig* config, Options options);
 
-  // Wires this auditor into `system`: every cub's audit hooks (which also
-  // turn on each view's landing log), the tracer's live sink (when tracing is
-  // enabled), and the per-tick view diff.
+  // Wires this auditor into `system`: every cub's audit hooks, which also
+  // turn on each view's landing log. Tracing plays no part in the audit.
   void Attach(TigerSystem* system);
 
   // Begins the periodic shadow-vs-view diff: an engine barrier task every
@@ -182,9 +179,6 @@ class ScheduleAuditor : public Actor, public AuditObserver, public TraceSink {
               const RecordLineage& lineage, int removed, bool new_hold) override;
   std::string ChromeFlowEvents() const override;
 
-  // TraceSink: cross-checks the live event stream against the shadow.
-  void OnTraceEvent(const TraceEvent& event) override;
-
   // --- divergence report ---
   bool healthy() const { return total_divergences_ == 0; }
   int64_t total_divergences() const { return total_divergences_; }
@@ -201,7 +195,6 @@ class ScheduleAuditor : public Actor, public AuditObserver, public TraceSink {
   std::string ReportJson() const override;
   std::string ReportCsv() const;
   bool WriteReportJson(const std::string& path) const;
-  bool WriteReportCsv(const std::string& path) const;
 
   // --- lineage query API ---
   // Chains (origin<<32|epoch) minted for this viewer, in first-seen order.
@@ -227,7 +220,6 @@ class ScheduleAuditor : public Actor, public AuditObserver, public TraceSink {
   int64_t checks_run() const { return checks_run_; }
   // View entries the diff has checked: one per landing, never per check.
   int64_t entries_audited() const { return entries_audited_; }
-  int64_t trace_events_seen() const { return trace_events_seen_; }
 
  private:
   struct MirrorLane {
@@ -350,8 +342,6 @@ class ScheduleAuditor : public Actor, public AuditObserver, public TraceSink {
   int64_t untagged_view_entries_ = 0;
   int64_t entries_audited_ = 0;
   int64_t checks_run_ = 0;
-  int64_t trace_events_seen_ = 0;
-  int64_t trace_unknown_chains_ = 0;
   int64_t kills_observed_ = 0;
   bool started_ = false;
 };

@@ -289,7 +289,7 @@ void Cub::OnViewerState(const ViewerStateRecord& record) {
   switch (apply_result) {
     case ScheduleView::ApplyResult::kNew: {
       counters_.records_new++;
-      if (vstate_lead_ms_ != nullptr && tracer_ != nullptr && tracer_->enabled()) {
+      if (vstate_lead_ms_ != nullptr && tracer_ != nullptr) {
         // How far ahead of its due time the record arrived (§4.1.1 lead).
         vstate_lead_ms_->Add(static_cast<double>((record.due - Now()).micros()) / 1000.0);
       }
@@ -886,7 +886,7 @@ void Cub::MaybeForwardEntry(ScheduleEntry& entry, BatchMap& batches) {
                                 .slot = next->slot.value(),
                                 .a = next->position,
                                 .b = targets});
-#if !TIGER_TRACING_ENABLED
+#if !TIGER_INSTRUMENTATION_ENABLED
   (void)targets;
 #endif
 }

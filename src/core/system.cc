@@ -176,7 +176,7 @@ void TigerSystem::EnableTracing(size_t ring_capacity) {
   // each shard its own registry, folded at snapshots.
   const int shards = engine_->shards();
   for (int s = 0; s < shards; ++s) {
-    Tracer::Options opt{ring_capacity, true};
+    Tracer::Options opt{ring_capacity};
     if (sharded()) {
       opt.flow_id_base = static_cast<uint64_t>(s + 1) << 48;
       shard_metrics_.push_back(std::make_unique<MetricsRegistry>());
@@ -670,48 +670,6 @@ void TigerSystem::RunUntil(TimePoint t) {
 void TigerSystem::RunFor(Duration d) { RunUntil(engine_->Now() + d); }
 
 uint64_t TigerSystem::processed_events() const { return engine_->processed_events(); }
-
-void TigerSystem::SetTraceSink(TraceSink* sink) {
-  TIGER_CHECK(!tracers_.empty()) << "SetTraceSink before EnableTracing";
-  if (!sharded()) {
-    // One shard records in global order already: the sink sees events as
-    // they happen, with nothing to merge.
-    tracers_[0]->SetSink(sink);
-    return;
-  }
-  trace_sink_ = sink;
-  if (sink != nullptr && trace_buffers_.empty()) {
-    // Lazily interpose the per-shard buffers (and their barrier drain) only
-    // when a live sink exists, so un-audited runs never buffer.
-    for (size_t s = 0; s < tracers_.size(); ++s) {
-      trace_buffers_.push_back(std::make_unique<TraceBuffer>());
-    }
-    engine_->AddBarrierHook([this] { DrainTraceBuffers(); });
-  }
-  for (size_t s = 0; s < tracers_.size(); ++s) {
-    tracers_[s]->SetSink(sink != nullptr ? trace_buffers_[s].get() : nullptr);
-  }
-}
-
-void TigerSystem::DrainTraceBuffers() {
-  if (trace_sink_ == nullptr) {
-    return;
-  }
-  // Merge by (when, shard, record order): concatenation in shard order is
-  // already grouped by shard, so a stable sort on time alone realizes the
-  // full key. One pass per window; buffers stay small (one window of events).
-  trace_drain_scratch_.clear();
-  for (auto& buffer : trace_buffers_) {
-    trace_drain_scratch_.insert(trace_drain_scratch_.end(), buffer->events().begin(),
-                                buffer->events().end());
-    buffer->events().clear();
-  }
-  std::stable_sort(trace_drain_scratch_.begin(), trace_drain_scratch_.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) { return a.when < b.when; });
-  for (const TraceEvent& event : trace_drain_scratch_) {
-    trace_sink_->OnTraceEvent(event);
-  }
-}
 
 std::vector<TraceEvent> TigerSystem::MergedTraceEvents() const {
   if (tracers_.size() == 1) {

@@ -223,12 +223,6 @@ class TigerSystem {
   MetricsRegistry* metrics() { return metrics_.get(); }
   TimeSeriesSampler* timeseries() { return timeseries_.get(); }
 
-  // Installs `sink` as the live trace-event consumer (the auditor's
-  // cross-check input). One shard sets it directly on the tracer; sharded
-  // runs interpose per-shard buffers drained at every barrier in (when,
-  // shard, record order) so the sink sees one thread-count-invariant stream.
-  void SetTraceSink(TraceSink* sink);
-
   // All shards' trace events merged by (when, shard, per-shard order) and
   // renumbered; for one shard simply the tracer's merged ring contents.
   std::vector<TraceEvent> MergedTraceEvents() const;
@@ -287,8 +281,6 @@ class TigerSystem {
   void SnapshotMetricsInto(MetricsRegistry* target, TimePoint a, TimePoint b);
   // Folds per-shard metric registries into `target` (sharded only).
   void FoldShardMetrics(MetricsRegistry* target);
-  // Barrier hook: drains every shard's trace buffer into trace_sink_.
-  void DrainTraceBuffers();
   // Fills one flight-recorder checkpoint from barrier-consistent state.
   void CaptureFlightCheckpoint(TimePoint now);
   // Assembles and writes one tiger-incident-v1 bundle; false when capped or
@@ -303,12 +295,9 @@ class TigerSystem {
   std::unique_ptr<ShardEngine> engine_;
   std::vector<int> cub_shards_;  // cub id -> owning shard (contiguous ring segments).
   // Tracing: one tracer per shard (merged on export). Sharded runs add one
-  // registry per shard and, when a live sink is installed, one
-  // barrier-drained buffer per shard.
+  // registry per shard.
   std::vector<std::unique_ptr<Tracer>> tracers_;
   std::vector<std::unique_ptr<MetricsRegistry>> shard_metrics_;
-  std::vector<std::unique_ptr<TraceBuffer>> trace_buffers_;
-  TraceSink* trace_sink_ = nullptr;  // What SetTraceSink was given (sharded).
   // Black-box observability (DESIGN.md §6j).
   std::unique_ptr<FlightRecorder> flight_recorder_;
   std::unique_ptr<SloMonitor> slo_monitor_;
@@ -317,9 +306,6 @@ class TigerSystem {
   std::vector<std::string> incident_dirs_;
   int max_incidents_ = 1;
   int incidents_suppressed_ = 0;
-  // Retained across windows so the per-barrier drain merge does not allocate
-  // in steady state.
-  std::vector<TraceEvent> trace_drain_scratch_;
   Duration timeseries_interval_;
   // Self-profiling (EnableProfiling): per-shard buckets plus the engine's
   // barrier accounting. Wall ns/ticks accumulate across Run* calls and

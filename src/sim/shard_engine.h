@@ -35,7 +35,7 @@
 //   2. Observer journals (audit hooks, stats mutations deferred from shard
 //      context) apply in (emission time, shard, per-shard sequence) order.
 //   3. Barrier hooks run in registration order (e.g. fault-plan anchor
-//      arming, trace-sink drains).
+//      arming).
 //   4. Periodic tasks whose due time equals H run in registration order —
 //      this is how samplers and auditors observe a globally consistent
 //      instant without an actor loop of their own.

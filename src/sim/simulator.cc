@@ -100,7 +100,7 @@ bool Simulator::Step() {
   // wrapping every event in a timed scope would cost two cycle-counter
   // reads per event and absorb the nested scopes' measurement overhead into
   // the sample, inflating the scaled estimate.
-#if TIGER_PROFILING_ENABLED
+#if TIGER_INSTRUMENTATION_ENABLED
   if (Profiler* prof = Profiler::Current()) {
     prof->ArmTiming((processed_ & (kProfSampleStride - 1)) == 0);
   }

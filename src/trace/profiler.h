@@ -29,10 +29,11 @@
 //     exclusive-time subtraction stays hierarchy-consistent.
 //  4. Free when stripped. Call sites hold no pointer: the TIGER_PROF_SCOPE
 //     macro reads one thread-local; when no profiler is installed the scope
-//     constructor is a load + compare. Defining TIGER_PROFILING_ENABLED=0
-//     compiles the macro sites away entirely (mirroring
-//     TIGER_TRACING_ENABLED; class definitions stay identical across TUs so
-//     mixed builds cannot violate the ODR).
+//     constructor is a load + compare. Defining
+//     TIGER_INSTRUMENTATION_ENABLED=0 (src/trace/instrumentation.h) compiles
+//     the macro sites away entirely, together with the tracer's; class
+//     definitions stay identical across TUs so mixed builds cannot violate
+//     the ODR.
 //  5. Flat storage. A Profiler is a fixed array of {count, samples,
 //     self_ticks} buckets, and the sharded engine keeps one Profiler per
 //     shard plus per-shard padded stats, so worker threads never share a
@@ -62,10 +63,7 @@
 #include <x86intrin.h>
 #endif
 
-// Compile-time switch: 0 strips every TIGER_PROF_* call site.
-#ifndef TIGER_PROFILING_ENABLED
-#define TIGER_PROFILING_ENABLED 1
-#endif
+#include "src/trace/instrumentation.h"
 
 namespace tiger {
 
@@ -402,8 +400,8 @@ std::string ProfilerChromeCounterEvents(const std::vector<ProfileSnapshot>& snap
 
 // Call-site macro: a scoped exclusive-time sample against the thread's
 // current profiler. `cat` is a bare ProfCategory enumerator name. Compiles
-// away entirely under TIGER_PROFILING_ENABLED=0.
-#if TIGER_PROFILING_ENABLED
+// away entirely under TIGER_INSTRUMENTATION_ENABLED=0.
+#if TIGER_INSTRUMENTATION_ENABLED
 #define TIGER_PROF_CONCAT_(a, b) a##b
 #define TIGER_PROF_CONCAT(a, b) TIGER_PROF_CONCAT_(a, b)
 #define TIGER_PROF_SCOPE(cat)                                     \

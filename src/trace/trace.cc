@@ -19,8 +19,7 @@ const TraceEvent& NthNewest(const std::vector<TraceEvent>& ring, size_t next, si
 }  // namespace
 
 Tracer::Tracer(const Simulator* sim, Options options)
-    : sim_(sim), options_(options), enabled_(options.enabled),
-      next_flow_(options.flow_id_base + 1) {
+    : sim_(sim), options_(options), next_flow_(options.flow_id_base + 1) {
   TIGER_CHECK(sim != nullptr);
   TIGER_CHECK(options_.ring_capacity > 0);
 }
@@ -51,9 +50,6 @@ void Tracer::Push(TraceTrackId track, TraceEvent event) {
   event.seq = next_seq_++;
   event.track = track;
   recorded_++;
-  if (sink_ != nullptr) {
-    sink_->OnTraceEvent(event);
-  }
   Track& t = tracks_[track];
   if (t.ring.size() < options_.ring_capacity) {
     t.ring.push_back(event);
@@ -66,9 +62,6 @@ void Tracer::Push(TraceTrackId track, TraceEvent event) {
 }
 
 void Tracer::Instant(TraceTrackId track, TraceEventType type, TraceArgs args) {
-  if (!enabled_) {
-    return;
-  }
   TraceEvent event;
   event.when = sim_->Now();
   event.type = type;
@@ -78,9 +71,6 @@ void Tracer::Instant(TraceTrackId track, TraceEventType type, TraceArgs args) {
 }
 
 uint64_t Tracer::BeginFlow(TraceTrackId track, TraceEventType type, TraceArgs args) {
-  if (!enabled_) {
-    return 0;
-  }
   const uint64_t flow = next_flow_++;
   TraceEvent event;
   event.when = sim_->Now();
@@ -93,8 +83,8 @@ uint64_t Tracer::BeginFlow(TraceTrackId track, TraceEventType type, TraceArgs ar
 }
 
 void Tracer::EndFlow(TraceTrackId track, TraceEventType type, uint64_t flow, TraceArgs args) {
-  if (!enabled_ || flow == 0) {
-    return;  // flow 0: the begin side was disabled (or a duplicate copy).
+  if (flow == 0) {
+    return;  // The begin side never ran (or this is a duplicate copy).
   }
   TraceEvent event;
   event.when = sim_->Now();
@@ -107,9 +97,6 @@ void Tracer::EndFlow(TraceTrackId track, TraceEventType type, uint64_t flow, Tra
 
 void Tracer::Complete(TraceTrackId track, TraceEventType type, TimePoint start, Duration dur,
                       TraceArgs args) {
-  if (!enabled_) {
-    return;
-  }
   TIGER_DCHECK(dur >= Duration::Zero());
   TIGER_DCHECK(start <= sim_->Now());  // AppendEventsSince relies on it.
   TraceEvent event;
@@ -420,18 +407,6 @@ std::string Tracer::ChromeJsonOf(const std::vector<TraceEvent>& events,
   out += extra_events;
   out += "\n]}\n";
   return out;
-}
-
-bool Tracer::WriteChromeJson(const std::string& path,
-                             const std::string& extra_events) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const std::string json = ChromeJson(extra_events);
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const int closed = std::fclose(f);
-  return written == json.size() && closed == 0;
 }
 
 }  // namespace tiger

@@ -15,13 +15,16 @@
 //
 // Events land in per-track ring buffers (drop-oldest beyond the capacity) and
 // carry a global sequence number so the merged view reproduces exact recording
-// order across tracks.
+// order across tracks. A Tracer only records: every reader (the exports above,
+// the flight recorder's bundle window) reads the rings, and nothing is
+// notified as events arrive.
 //
 // Cost model: instrumented call sites hold a `Tracer*` that is null unless
 // TigerSystem::EnableTracing() ran, and the TIGER_TRACE_* macros compile to a
-// single null check in that case. Defining TIGER_TRACING_ENABLED=0 strips the
-// call sites entirely. bench/scalability prints the measured overhead of both
-// configurations.
+// single null check in that case. Defining TIGER_INSTRUMENTATION_ENABLED=0
+// (src/trace/instrumentation.h) strips the call sites entirely.
+// bench/scalability prints the measured overhead of an absent and a recording
+// tracer.
 
 #ifndef SRC_TRACE_TRACE_H_
 #define SRC_TRACE_TRACE_H_
@@ -32,11 +35,7 @@
 
 #include "src/common/time.h"
 #include "src/sim/simulator.h"
-
-// Compile-time switch: 0 strips every TIGER_TRACE_* call site.
-#ifndef TIGER_TRACING_ENABLED
-#define TIGER_TRACING_ENABLED 1
-#endif
+#include "src/trace/instrumentation.h"
 
 namespace tiger {
 
@@ -101,34 +100,12 @@ struct TraceEvent {
   TraceArgs args;
 };
 
-// Live subscriber to every recorded event, invoked synchronously from the
-// recording path *before* the ring can drop it — so a subscriber (the
-// ScheduleAuditor) sees complete evidence even on runs long enough to wrap
-// the rings. Implementations must not call back into the Tracer.
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void OnTraceEvent(const TraceEvent& event) = 0;
-};
-
-// A sink that only collects. Sharded runs give each shard's tracer one and
-// drain them all at every barrier, merged by (when, shard, record order).
-class TraceBuffer : public TraceSink {
- public:
-  void OnTraceEvent(const TraceEvent& event) override { events_.push_back(event); }
-  std::vector<TraceEvent>& events() { return events_; }
-
- private:
-  std::vector<TraceEvent> events_;
-};
-
 class Tracer {
  public:
   struct Options {
     // Events retained per track; older events are overwritten (and counted as
     // dropped) beyond this.
     size_t ring_capacity = 32768;
-    bool enabled = true;
     // First BeginFlow id handed out is flow_id_base + 1. Sharded runs give
     // each shard's tracer a disjoint base (shard+1 in the top 16 bits) so
     // flows stay unique in the merged export; a one-shard run has nothing to
@@ -145,21 +122,14 @@ class Tracer {
   // layout); TigerSystem registers net, then cubs, then disks.
   TraceTrackId RegisterTrack(std::string name);
 
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool on) { enabled_ = on; }
-
   void Instant(TraceTrackId track, TraceEventType type, TraceArgs args = {});
-  // Opens an async span; returns its flow id (0 when disabled) which the
-  // matching EndFlow — possibly on another track — must pass back.
+  // Opens an async span; returns its flow id (never 0) which the matching
+  // EndFlow — possibly on another track — must pass back.
   uint64_t BeginFlow(TraceTrackId track, TraceEventType type, TraceArgs args = {});
   void EndFlow(TraceTrackId track, TraceEventType type, uint64_t flow, TraceArgs args = {});
   // Records a self-contained span [start, start+dur]; start is not after now.
   void Complete(TraceTrackId track, TraceEventType type, TimePoint start, Duration dur,
                 TraceArgs args = {});
-
-  // At most one sink; nullptr detaches. The sink outlives the Tracer or is
-  // detached first.
-  void SetSink(TraceSink* sink) { sink_ = sink; }
 
   uint64_t recorded() const { return recorded_; }
   // Events overwritten by ring wrap-around (not in any export).
@@ -193,10 +163,6 @@ class Tracer {
   // produces one, adding counter tracks under the event timeline.
   std::string ChromeJson() const { return ChromeJson(std::string()); }
   std::string ChromeJson(const std::string& extra_events) const;
-  bool WriteChromeJson(const std::string& path) const {
-    return WriteChromeJson(path, std::string());
-  }
-  bool WriteChromeJson(const std::string& path, const std::string& extra_events) const;
 
   static const char* TypeName(TraceEventType type);
   static const char* TypeCategory(TraceEventType type);
@@ -224,8 +190,6 @@ class Tracer {
 
   const Simulator* sim_;
   Options options_;
-  bool enabled_;
-  TraceSink* sink_ = nullptr;
   std::vector<Track> tracks_;
   uint64_t next_seq_ = 1;
   uint64_t next_flow_;  // Initialized from Options::flow_id_base.
@@ -236,8 +200,9 @@ class Tracer {
 }  // namespace tiger
 
 // Call-site macros: one pointer null check when tracing is compiled in, and
-// nothing at all when TIGER_TRACING_ENABLED=0. `tracer` is evaluated once.
-#if TIGER_TRACING_ENABLED
+// nothing at all when TIGER_INSTRUMENTATION_ENABLED=0. `tracer` is evaluated
+// once.
+#if TIGER_INSTRUMENTATION_ENABLED
 #define TIGER_TRACE_INSTANT(tracer, track, type, ...)                \
   do {                                                               \
     ::tiger::Tracer* tiger_tr_ = (tracer);                           \

@@ -427,7 +427,6 @@ TEST(AuditSystemTest, HealthyRunReportsZeroDivergence) {
   EXPECT_GT(auditor.chains_seen(), 0);
   EXPECT_GT(auditor.forwards_observed(), 0);
   EXPECT_GT(auditor.checks_run(), 100);
-  EXPECT_GT(auditor.trace_events_seen(), 0) << "the tracer sink must be live";
   EXPECT_NE(auditor.ReportJson().find("\"healthy\": true"), std::string::npos);
 
   // Lineage query over a real run: every played viewer has a chain whose hop

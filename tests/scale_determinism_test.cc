@@ -106,7 +106,7 @@ TEST(ScaleDeterminismTest, SameSeedTwiceIsByteIdenticalAt100Cubs) {
 // for a fixed shard count, every observable dump must be byte-identical
 // across *thread counts*. This sweep runs the 100-cub shape on 8 shards with
 // 1 worker thread and again with 4, under full instrumentation (time series,
-// tracing with a live auditor sink, audit hooks), and compares the
+// tracing, the auditor's hooks), and compares the
 // time-series CSV, the merged trace text dump, the folded metrics, the
 // auditor's divergence report and the event count byte-for-byte.
 
@@ -217,30 +217,41 @@ TEST(ScaleDeterminismTest, ProfiledShardedRunIsByteIdenticalToUnprofiled) {
 // recorder, SLO monitor — polls from an engine barrier task and writes only
 // through the journal, so attaching all of them must leave the protocol run
 // untouched: the same events, cub counters and client-observed QoS, at one
-// shard and at four. The scenario carries a data plane, looping viewers and
-// a cub power cut with revive, so takeovers, mirror service and rejoin all
-// run under observation.
+// shard and at four. The scenario carries a data plane, looping viewers, a
+// cub power cut with revive, and one corrupted viewer-state forward, so
+// takeovers, mirror service, rejoin and the auditor's divergence path all run
+// under observation.
+//
+// The auditor's verdict rests on its hooks and the views' landing logs alone,
+// so an auditor-only run without tracing must report byte-for-byte what the
+// fully observed, traced run reports.
+
+enum class Observers { kNone, kAuditorOnly, kAll };
 
 struct ProtocolOutcome {
   uint64_t events = 0;
   Cub::Counters counters;
   QosLedger::Rollup qos;
+  int64_t divergences = 0;
+  std::string audit_report;
 };
 
-ProtocolOutcome RunObservedScenario(int shards, bool observed) {
+ProtocolOutcome RunObservedScenario(int shards, Observers observers) {
   TigerConfig config;
   config.shape = SystemShape{8, 2, 2};
   config.sim_shards = shards;
   Testbed testbed(config, /*seed=*/21);
   TigerSystem& system = testbed.system();
   std::unique_ptr<ScheduleAuditor> auditor;
-  if (observed) {
+  if (observers == Observers::kAll) {
     system.EnableInvariantChecker();
     system.EnableTimeSeries(Duration::Seconds(1));
     system.EnableFlightRecorder();
     SloMonitor::Options slo;
     slo.max_incidents = 0;  // Evaluate and count breaches; write no bundles.
     system.EnableSloMonitor(slo);
+  }
+  if (observers != Observers::kNone) {
     auditor = std::make_unique<ScheduleAuditor>(&system.sim(), &system.config());
     auditor->Attach(&system);
   }
@@ -252,26 +263,40 @@ ProtocolOutcome RunObservedScenario(int shards, bool observed) {
   testbed.AddLoopingViewers(48, Duration::Seconds(4));
   system.FailCubAt(TimePoint::Zero() + Duration::Seconds(12), CubId(3));
   system.ReviveCubAt(TimePoint::Zero() + Duration::Seconds(30), CubId(3));
+  testbed.RunUntil(TimePoint::Zero() + Duration::Seconds(8));
+  system.cub(CubId(1)).InjectAuditCorruption();
   testbed.RunUntil(TimePoint::Zero() + Duration::Seconds(60));
 
+  // Only the flight recorder turns tracing on.
+  EXPECT_EQ(system.tracer() != nullptr, observers == Observers::kAll);
   ProtocolOutcome out;
   out.events = system.processed_events();
   out.counters = system.TotalCubCounters();
   out.qos = system.qos_ledger().FleetRollup();
+  if (auditor != nullptr) {
+    out.divergences = auditor->total_divergences();
+    out.audit_report = auditor->ReportJson();
+  }
   return out;
 }
 
 TEST(ScaleDeterminismTest, ObserversNeverPerturbTheRun) {
   for (const int shards : {1, 4}) {
     SCOPED_TRACE("sim_shards=" + std::to_string(shards));
-    const ProtocolOutcome bare = RunObservedScenario(shards, /*observed=*/false);
-    const ProtocolOutcome seen = RunObservedScenario(shards, /*observed=*/true);
+    const ProtocolOutcome bare = RunObservedScenario(shards, Observers::kNone);
+    const ProtocolOutcome seen = RunObservedScenario(shards, Observers::kAll);
+    const ProtocolOutcome audited = RunObservedScenario(shards, Observers::kAuditorOnly);
 
     // The scenario exercises what the observers watch.
     EXPECT_GT(bare.counters.takeovers, 0);
     EXPECT_GT(bare.counters.rejoins, 0);
     EXPECT_GT(bare.qos.blocks, 1000);
     EXPECT_GT(bare.qos.late + bare.qos.lost, 0) << "the power cut must cost some blocks";
+    EXPECT_GT(seen.divergences, 0) << "the corrupted forward must be caught";
+
+    // Tracing plays no part in the audit.
+    EXPECT_EQ(seen.audit_report, audited.audit_report);
+    EXPECT_EQ(bare.events, audited.events);
 
     EXPECT_EQ(bare.events, seen.events);
     const Cub::Counters& a = bare.counters;

@@ -195,25 +195,6 @@ TEST(TracerTest, RingWrapsAndCountsDrops) {
   }
 }
 
-TEST(TracerTest, RuntimeDisableRecordsNothing) {
-  Simulator sim;
-  Tracer tracer(&sim);
-  const TraceTrackId track = tracer.RegisterTrack("t");
-  tracer.set_enabled(false);
-  tracer.Instant(track, TraceEventType::kBlockSent);
-  EXPECT_EQ(tracer.BeginFlow(track, TraceEventType::kMsgHop), 0u);
-  tracer.EndFlow(track, TraceEventType::kMsgHop, 0);
-  tracer.Complete(track, TraceEventType::kDiskService, sim.Now(), Duration::Micros(5));
-  EXPECT_EQ(tracer.recorded(), 0u);
-  EXPECT_EQ(tracer.TextDump(), "");
-
-  tracer.set_enabled(true);
-  const uint64_t flow = tracer.BeginFlow(track, TraceEventType::kMsgHop);
-  EXPECT_NE(flow, 0u);
-  tracer.EndFlow(track, TraceEventType::kMsgHop, flow);
-  EXPECT_EQ(tracer.recorded(), 2u);
-}
-
 TEST(TracerTest, MergedEventsInterleaveTracksBySequence) {
   Simulator sim;
   Tracer tracer(&sim);
