@@ -18,7 +18,7 @@
 //                         successor restamp, encode/decode) — prices the
 //                         audit lineage machinery against message_hop;
 //   cub_ring_90pct        end-to-end distributed-schedule system at 90%
-//                         load, the workload behind bench/scalability;
+//                         load;
 //   cub_ring_90pct_profiled  the same system with the self-profiler on
 //                         (src/trace/profiler.h). Diffing against
 //                         cub_ring_90pct prices the profiler; the measured

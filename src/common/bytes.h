@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -26,11 +25,6 @@ class ByteWriter {
 
   void PutBytes(const uint8_t* data, size_t size) {
     buffer_.insert(buffer_.end(), data, data + size);
-  }
-
-  void PutString(const std::string& s) {
-    Put<uint32_t>(static_cast<uint32_t>(s.size()));
-    PutBytes(reinterpret_cast<const uint8_t*>(s.data()), s.size());
   }
 
   const std::vector<uint8_t>& bytes() const { return buffer_; }
@@ -65,17 +59,6 @@ class ByteReader {
       return false;
     }
     std::memcpy(out, data_ + offset_, size);
-    offset_ += size;
-    return true;
-  }
-
-  bool GetString(std::string* out) {
-    uint32_t size = 0;
-    if (!Get(&size) || offset_ + size > size_) {
-      failed_ = true;
-      return false;
-    }
-    out->assign(reinterpret_cast<const char*>(data_ + offset_), size);
     offset_ += size;
     return true;
   }

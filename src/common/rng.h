@@ -33,23 +33,9 @@ class Rng {
 
   bool Bernoulli(double p) { return std::bernoulli_distribution(p)(engine_); }
 
-  // Exponentially distributed duration with the given mean.
-  Duration Exponential(Duration mean) {
-    TIGER_DCHECK(mean.micros() > 0);
-    double lambda = 1.0 / static_cast<double>(mean.micros());
-    double draw = std::exponential_distribution<double>(lambda)(engine_);
-    return Duration::Micros(static_cast<int64_t>(draw));
-  }
-
   // Uniform duration in [lo, hi].
   Duration UniformDuration(Duration lo, Duration hi) {
     return Duration::Micros(UniformInt(lo.micros(), hi.micros()));
-  }
-
-  // Normally distributed value, clamped to be non-negative.
-  double GaussianNonNegative(double mean, double stddev) {
-    double v = std::normal_distribution<double>(mean, stddev)(engine_);
-    return v < 0 ? 0 : v;
   }
 
   // Picks a uniformly random element index of a non-empty container size.

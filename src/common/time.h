@@ -22,9 +22,6 @@ class Duration {
   static constexpr Duration Micros(int64_t us) { return Duration(us); }
   static constexpr Duration Millis(int64_t ms) { return Duration(ms * 1000); }
   static constexpr Duration Seconds(int64_t s) { return Duration(s * 1000000); }
-  static constexpr Duration SecondsF(double s) {
-    return Duration(static_cast<int64_t>(s * 1e6));
-  }
   static constexpr Duration Zero() { return Duration(0); }
   static constexpr Duration Max() { return Duration(INT64_MAX); }
 

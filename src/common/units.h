@@ -17,7 +17,6 @@ constexpr int64_t kKilobyte = 1024;
 constexpr int64_t kMegabyte = 1024 * 1024;
 constexpr int64_t kGigabyte = 1024 * 1024 * 1024;
 
-constexpr int64_t Kilobits(int64_t v) { return v * 1000; }
 constexpr int64_t Megabits(int64_t v) { return v * 1000 * 1000; }
 
 // Time to move `bytes` at `bits_per_second`, rounded up to a whole microsecond.

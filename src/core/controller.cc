@@ -240,9 +240,6 @@ void Controller::OnStartConfirm(const StartConfirmMsg& msg) {
     it->second.slot = msg.slot;
     it->second.first_block_due = msg.first_block_due;
   }
-  if (confirm_callback_) {
-    confirm_callback_(msg);
-  }
 }
 
 void Controller::OnFailureNotice(const FailureNoticeMsg& msg) {

@@ -12,7 +12,6 @@
 #define SRC_CORE_CONTROLLER_H_
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 
 #include "src/common/ids.h"
@@ -57,11 +56,6 @@ class Controller : public Actor, public NetworkEndpoint {
   const CumulativeMeter& cpu_meter() const { return cpu_; }
   const FailureView& failure_view() const { return failure_view_; }
   int64_t active_play_count() const { return static_cast<int64_t>(plays_.size()); }
-
-  // Invoked on every StartConfirm (test/experiment hook).
-  void SetConfirmCallback(std::function<void(const StartConfirmMsg&)> cb) {
-    confirm_callback_ = std::move(cb);
-  }
 
   // NetworkEndpoint:
   void HandleMessage(const MessageEnvelope& envelope) override;
@@ -110,7 +104,6 @@ class Controller : public Actor, public NetworkEndpoint {
   uint64_t lamport_ = 0;
   uint32_t next_msg_epoch_ = 1;
   std::unordered_map<uint64_t, PlayStub> plays_;  // By instance id.
-  std::function<void(const StartConfirmMsg&)> confirm_callback_;
   // Standby / failover state.
   bool active_ = true;
   bool took_over_ = false;

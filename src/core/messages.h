@@ -40,7 +40,6 @@ enum class MsgKind {
   kFailureNotice,
   kBlockData,
   kClientRequest,
-  kCentralCommand,
   kReserveRequest,
   kReserveReply,
   kRejoinRequest,
@@ -194,16 +193,6 @@ struct ClientRequestMsg : TigerMessage {
   // For kStop: which play instance to stop.
   PlayInstanceId instance;
   static constexpr int64_t WireBytes() { return kMessageHeaderBytes + 32; }
-};
-
-// Centralized-baseline command: the controller instructs a cub to deliver one
-// block. "If the message ... is 100 bytes long (which is about the size of
-// the comparable message sent from cub to cub in the distributed system)"
-// (§3.3) — we reuse the viewer-state wire size.
-struct CentralCommandMsg : TigerMessage {
-  CentralCommandMsg() : TigerMessage(MsgKind::kCentralCommand) {}
-  ViewerStateRecord record;
-  static constexpr int64_t WireBytes() { return kMessageHeaderBytes + kViewerStateWireBytes; }
 };
 
 // Two-phase network-schedule insertion (multiple-bitrate Tiger, §4.2).

@@ -131,12 +131,6 @@ std::vector<uint8_t> EncodeMessage(const TigerMessage& message) {
       PutId(w, msg.instance);
       break;
     }
-    case MsgKind::kCentralCommand: {
-      const auto& msg = static_cast<const CentralCommandMsg&>(message);
-      auto record = msg.record.Encode();
-      w.PutBytes(record.data(), record.size());
-      break;
-    }
     case MsgKind::kReserveRequest: {
       const auto& msg = static_cast<const ReserveRequestMsg&>(message);
       PutId(w, msg.from);
@@ -268,19 +262,6 @@ std::shared_ptr<TigerMessage> DecodeMessage(const std::vector<uint8_t>& frame) {
         return nullptr;
       }
       msg->op = op == 0 ? ClientRequestMsg::Op::kStart : ClientRequestMsg::Op::kStop;
-      return msg;
-    }
-    case MsgKind::kCentralCommand: {
-      auto msg = MakePooledMessage<CentralCommandMsg>();
-      std::array<uint8_t, kViewerStateWireBytes> wire{};
-      if (!r.GetBytes(wire.data(), wire.size())) {
-        return nullptr;
-      }
-      auto record = ViewerStateRecord::Decode(wire);
-      if (!record.has_value()) {
-        return nullptr;
-      }
-      msg->record = *record;
       return msg;
     }
     case MsgKind::kReserveRequest: {

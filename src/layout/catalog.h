@@ -34,10 +34,6 @@ struct FileInfo {
   // multiple-bitrate system; equals the configured maximum in a
   // single-bitrate system (internal fragmentation).
   int64_t allocated_bytes_per_block = 0;
-
-  Duration PlayDuration(Duration block_play_time) const {
-    return block_play_time * block_count;
-  }
 };
 
 class Catalog {

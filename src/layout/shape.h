@@ -44,8 +44,6 @@ struct SystemShape {
     return DiskId(static_cast<uint32_t>(local_disk * num_cubs) + cub.value());
   }
 
-  DiskId NextDisk(DiskId disk) const { return AdvanceDisk(disk, 1); }
-
   DiskId AdvanceDisk(DiskId disk, int64_t steps) const {
     const int64_t total = TotalDisks();
     int64_t v = (static_cast<int64_t>(disk.value()) + steps) % total;

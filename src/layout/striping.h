@@ -58,16 +58,6 @@ class StripeLayout {
                          FragmentBytes(file)};
   }
 
-  // All secondary fragments of a block, in send order.
-  std::vector<BlockLocation> SecondaryLocations(const FileInfo& file, int64_t block) const {
-    std::vector<BlockLocation> out;
-    out.reserve(static_cast<size_t>(shape_.decluster_factor));
-    for (int j = 0; j < shape_.decluster_factor; ++j) {
-      out.push_back(SecondaryLocation(file, block, j));
-    }
-    return out;
-  }
-
   // Disks whose primaries this disk helps mirror: the `decluster` disks
   // immediately preceding it.
   std::vector<DiskId> MirroredDisks(DiskId disk) const {

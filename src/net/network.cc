@@ -9,11 +9,11 @@
 namespace tiger {
 
 NetAddress Network::Attach(NetworkEndpoint* endpoint, std::string name, int64_t nic_bps) {
+  (void)name;
   TIGER_CHECK(endpoint != nullptr);
   TIGER_CHECK(nic_bps > 0);
   Node node;
   node.endpoint = endpoint;
-  node.name = std::move(name);
   node.nic_bps = nic_bps;
   nodes_.push_back(std::move(node));
   return static_cast<NetAddress>(nodes_.size() - 1);
@@ -214,8 +214,6 @@ void Network::Reassign(NetAddress node, NetworkEndpoint* endpoint) {
   n.up = true;
 }
 
-bool Network::IsNodeUp(NetAddress node) const { return NodeRef(node).up; }
-
 const CumulativeMeter& Network::ControlBytesSent(NetAddress node) const {
   return NodeRef(node).control_bytes_sent;
 }
@@ -239,7 +237,5 @@ int64_t Network::OversubscriptionEvents(NetAddress node) const {
 }
 
 int64_t Network::nic_bps(NetAddress node) const { return NodeRef(node).nic_bps; }
-
-const std::string& Network::NodeName(NetAddress node) const { return NodeRef(node).name; }
 
 }  // namespace tiger

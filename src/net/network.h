@@ -132,7 +132,6 @@ class Network : public MessageBus {
 
   // Marks a node down (power loss) or back up.
   void SetNodeUp(NetAddress node, bool up) override;
-  bool IsNodeUp(NetAddress node) const;
 
   // Points an existing address at a different endpoint and brings it up —
   // the moral equivalent of IP takeover during controller failover.
@@ -179,12 +178,10 @@ class Network : public MessageBus {
   int64_t nic_bps(NetAddress node) const;
 
   size_t node_count() const { return nodes_.size(); }
-  const std::string& NodeName(NetAddress node) const;
 
  private:
   struct Node {
     NetworkEndpoint* endpoint = nullptr;
-    std::string name;
     int64_t nic_bps = 0;
     bool up = true;
     CumulativeMeter control_bytes_sent;

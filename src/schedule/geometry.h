@@ -58,10 +58,6 @@ class ScheduleGeometry {
   // — i.e. when the block for the viewer in that slot is due at the network.
   TimePoint NextSlotStart(DiskId disk, SlotId slot, TimePoint t) const;
 
-  SlotId NextSlot(SlotId slot) const {
-    return SlotId(static_cast<uint32_t>((slot.value() + 1) % slots_));
-  }
-
   struct ServingEvent {
     DiskId disk;
     TimePoint due;

@@ -162,15 +162,6 @@ std::string TimeSeriesSampler::Json() const {
   return out;
 }
 
-bool TimeSeriesSampler::WriteJson(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return false;
-  }
-  out << Json();
-  return static_cast<bool>(out);
-}
-
 std::string TimeSeriesSampler::ChromeCounterEvents() const {
   // Row-major (by tick, then by series) so the fragment streams in time
   // order, which keeps Perfetto's ingest happy on large traces.

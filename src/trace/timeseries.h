@@ -77,7 +77,6 @@ class TimeSeriesSampler {
   // {"interval_s":…, "ticks":[…], "series":{"name":{"start_tick":…,
   //  "points":[…]}, …}} — hand-rolled, deterministic.
   std::string Json() const;
-  bool WriteJson(const std::string& path) const;
   // Chrome trace_event counter events (",\n{...}" fragments, row-major by
   // tick), ready to splice into Tracer::ChromeJson's event array.
   std::string ChromeCounterEvents() const;

@@ -23,8 +23,8 @@
 // TigerSystem::EnableTracing() ran, and the TIGER_TRACE_* macros compile to a
 // single null check in that case. Defining TIGER_INSTRUMENTATION_ENABLED=0
 // (src/trace/instrumentation.h) strips the call sites entirely.
-// bench/scalability prints the measured overhead of an absent and a recording
-// tracer.
+// bench/sim_microbench's cub_ring_90pct_traced prices a recording tracer
+// against the untraced cub_ring_90pct.
 
 #ifndef SRC_TRACE_TRACE_H_
 #define SRC_TRACE_TRACE_H_

@@ -72,11 +72,15 @@ TEST(BootstrapTest, FullCapacityControlTrafficMatchesFigureEight) {
   ASSERT_EQ(made, 602);
   system.Start();
   system.RunUntil(TimePoint::Zero() + Duration::Seconds(20));
-  double bps = system.CubControlTrafficBps(CubId(0), TimePoint::FromMicros(10000000),
-                                           TimePoint::FromMicros(20000000));
+  const TimePoint a = TimePoint::FromMicros(10000000);
+  const TimePoint b = TimePoint::FromMicros(20000000);
+  double bps = system.CubControlTrafficBps(CubId(0), a, b);
   // 43 streams/cub x 2 copies x 100 B = 8.6 KB/s plus amortized headers.
   EXPECT_GT(bps, 7000.0);
   EXPECT_LT(bps, 12000.0);
+  // The distributed half of §3.3: once every stream is running, the
+  // controller sends no control traffic at all; the cubs carry the schedule.
+  EXPECT_EQ(system.ControllerControlTrafficBps(a, b), 0.0);
 }
 
 }  // namespace

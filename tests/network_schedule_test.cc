@@ -17,8 +17,9 @@ class NetworkScheduleTest : public ::testing::Test {
   uint64_t next_ = 1;
 
   NetworkSchedule::EntryId Add(int64_t start_ms, int64_t mbps) {
+    const uint64_t id = next_++;
     return schedule_.Insert(Duration::Millis(start_ms), Megabits(mbps), false,
-                            ViewerId(static_cast<uint32_t>(next_)), PlayInstanceId(next_++));
+                            ViewerId(static_cast<uint32_t>(id)), PlayInstanceId(id));
   }
 };
 

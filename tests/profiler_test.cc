@@ -35,7 +35,7 @@ namespace {
 uint64_t BurnWork() {
   volatile uint64_t x = 0;
   for (uint64_t i = 0; i < 50000; ++i) {
-    x += i * i;
+    x = x + i * i;
   }
   return x;
 }

@@ -123,13 +123,6 @@ TEST(WireTest, EveryControlMessageRoundTrips) {
     EXPECT_EQ(out.start_position, 17);
   }
   {
-    CentralCommandMsg msg;
-    msg.record = SampleRecord(99);
-    auto decoded = DecodeMessage(EncodeMessage(msg));
-    ASSERT_NE(decoded, nullptr);
-    EXPECT_EQ(static_cast<CentralCommandMsg&>(*decoded).record.instance, PlayInstanceId(99));
-  }
-  {
     ReserveRequestMsg msg;
     msg.from = CubId(2);
     msg.viewer = ViewerId(3);
@@ -179,6 +172,8 @@ TEST(WireTest, TruncatedAndCorruptFramesRejected) {
   }
   std::vector<uint8_t> bad_kind = frame;
   bad_kind[0] = 0xEE;
+  EXPECT_EQ(DecodeMessage(bad_kind), nullptr);
+  bad_kind[0] = static_cast<uint8_t>(MsgKind::kRejoinReply) + 1;
   EXPECT_EQ(DecodeMessage(bad_kind), nullptr);
 }
 

@@ -14,8 +14,7 @@
 //
 // To regenerate the committed CI baseline after an intentional change
 // (documented in EXPERIMENTS.md E17):
-//   build/tools/frontier_tournament --quick --seed=1 \
-//       --json=bench/baselines/FRONTIER.json
+//   build/tools/frontier_tournament --quick --seed=1 --json=bench/baselines/FRONTIER.json
 //
 // --weaken deliberately cripples a recovery path (single forwarding with no
 // failure re-forwarding, or no warm-standby controller) so the envelope
