@@ -33,6 +33,8 @@
 #include <string>
 #include <vector>
 
+#include "src/common/text_file.h"
+
 namespace tiger {
 
 struct BenchArgs {
@@ -200,14 +202,10 @@ class JsonWriter {
   // Writes the accumulated document (plus a trailing newline) to `path`.
   // Returns false (with a note on stderr) on I/O failure.
   bool WriteFile(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
+    if (!WriteTextFile(path, out_ + "\n")) {
       std::fprintf(stderr, "cannot write %s\n", path.c_str());
       return false;
     }
-    std::fwrite(out_.data(), 1, out_.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
     return true;
   }
 

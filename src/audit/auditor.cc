@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/text_file.h"
 #include "src/trace/profiler.h"
 #include "src/core/system.h"
 
@@ -21,16 +22,6 @@ void Appendf(std::string* out, const char* fmt, Args... args) {
   const int n = std::snprintf(buf, sizeof(buf), fmt, args...);
   TIGER_DCHECK(n >= 0 && static_cast<size_t>(n) < sizeof(buf));
   out->append(buf, static_cast<size_t>(n));
-}
-
-bool WriteFile(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const size_t written = std::fwrite(body.data(), 1, body.size(), f);
-  const int closed = std::fclose(f);
-  return written == body.size() && closed == 0;
 }
 
 }  // namespace
@@ -642,7 +633,7 @@ std::string ScheduleAuditor::ReportCsv() const {
 }
 
 bool ScheduleAuditor::WriteReportJson(const std::string& path) const {
-  return WriteFile(path, ReportJson());
+  return WriteTextFile(path, ReportJson());
 }
 
 // ---------------------------------------------------------------------------
@@ -747,7 +738,7 @@ std::string ScheduleAuditor::LineageCsv() const {
 }
 
 bool ScheduleAuditor::WriteLineageCsv(const std::string& path) const {
-  return WriteFile(path, LineageCsv());
+  return WriteTextFile(path, LineageCsv());
 }
 
 // ---------------------------------------------------------------------------

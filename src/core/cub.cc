@@ -96,7 +96,7 @@ void Cub::MergeLineageClock(const ViewerStateRecord& record) {
 void Cub::SetTrace(Tracer* tracer, TraceTrackId track, MetricsRegistry* metrics) {
   tracer_ = tracer;
   trace_track_ = track;
-  vstate_lead_ms_ = metrics != nullptr ? &metrics->BoundedHist("vstate.lead_ms") : nullptr;
+  vstate_lead_ms_ = metrics != nullptr ? &metrics->Hist("vstate.lead_ms") : nullptr;
   view_.SetTrace(tracer_, trace_track_);
 }
 

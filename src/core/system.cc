@@ -7,23 +7,10 @@
 #include <thread>
 #include <utility>
 
+#include "src/common/text_file.h"
 #include "src/obs/incident.h"
 
 namespace tiger {
-
-namespace {
-
-bool WriteTextFile(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  return written == text.size();
-}
-
-}  // namespace
 
 TigerSystem::TigerSystem(TigerConfig config, uint64_t seed)
     : config_(config), rng_(seed), seed_(seed) {
@@ -171,17 +158,15 @@ void TigerSystem::EnableTracing(size_t ring_capacity) {
   // One tracer per shard so actors record without cross-shard contention.
   // Every tracer registers the *same* track list in the same order (network
   // first, then cubs, then disks), so track ids are identical everywhere and
-  // the merged export renders exactly like a one-shard layout. Sharded runs
-  // disambiguate flow ids with a per-shard base in the top 16 bits and give
-  // each shard its own registry, folded at snapshots.
+  // the merged export renders exactly like a one-shard layout. Flow ids carry
+  // the shard in their top 16 bits, and each shard's actors write their own
+  // registry, folded into metrics_ at snapshots.
   const int shards = engine_->shards();
   for (int s = 0; s < shards; ++s) {
     Tracer::Options opt{ring_capacity};
-    if (sharded()) {
-      opt.flow_id_base = static_cast<uint64_t>(s + 1) << 48;
-      shard_metrics_.push_back(std::make_unique<MetricsRegistry>());
-    }
+    opt.flow_id_base = static_cast<uint64_t>(s) << 48;
     tracers_.push_back(std::make_unique<Tracer>(&engine_->shard(s), opt));
+    shard_metrics_.push_back(std::make_unique<MetricsRegistry>());
   }
   auto register_all = [&](const std::string& name) {
     TraceTrackId track{};
@@ -193,12 +178,12 @@ void TigerSystem::EnableTracing(size_t ring_capacity) {
   const TraceTrackId net_track = register_all("net");
   for (int s = 0; s < shards; ++s) {
     net_->SetShardTrace(s, tracers_[static_cast<size_t>(s)].get(), net_track,
-                        ShardMetrics(static_cast<size_t>(s)));
+                        shard_metrics_[static_cast<size_t>(s)].get());
   }
   for (auto& cub : cubs_) {
     const TraceTrackId track = register_all("cub" + std::to_string(cub->id().value()));
     const size_t shard = static_cast<size_t>(cub_shards_[cub->id().value()]);
-    cub->SetTrace(tracers_[shard].get(), track, ShardMetrics(shard));
+    cub->SetTrace(tracers_[shard].get(), track, shard_metrics_[shard].get());
   }
   for (auto& disk : disks_) {
     const TraceTrackId track = register_all("disk" + std::to_string(disk->id().value()));
@@ -225,9 +210,6 @@ void TigerSystem::EnableTimeSeries(Duration cadence, size_t ring_capacity) {
       SnapshotMetrics(last_sample_window_start_, now);
       last_sample_window_start_ = now;
     }
-    // Profiler counter-track samples ride the sampler cadence so profiling
-    // never schedules anything of its own (the no-logical-effect contract).
-    CaptureProfileSnapshot(now);
   });
 }
 
@@ -237,37 +219,6 @@ void TigerSystem::EnableProfiling() {
   }
   profiler_ = std::make_unique<ShardEngineProfiler>(engine_->shards());
   engine_->SetProfiler(profiler_.get());
-}
-
-void TigerSystem::CaptureProfileSnapshot(TimePoint now) {
-  if (!profiling_enabled()) {
-    return;
-  }
-  ProfileSnapshot snap;
-  snap.sim_us = now.micros();
-  for (int c = 0; c < kProfCategoryCount; ++c) {
-    const ProfCategory cat = static_cast<ProfCategory>(c);
-    const Profiler::Bucket b = profiler_->Aggregated(cat);
-    // Timing is stride-sampled; store the scaled estimate so the Perfetto
-    // counter tracks read in (approximate) real milliseconds.
-    snap.category_ticks[c] =
-        b.samples == 0 ? 0
-                       : static_cast<uint64_t>(static_cast<double>(b.self_ticks) *
-                                               static_cast<double>(b.count) /
-                                               static_cast<double>(b.samples));
-  }
-  // The kEngine* buckets live in the driver's window accounting, not in any
-  // shard profiler.
-  const ShardEngineProfiler::EngineStats& es = profiler_->engine();
-  snap.category_ticks[static_cast<int>(ProfCategory::kEngineBusy)] = es.driver_busy_ticks;
-  snap.category_ticks[static_cast<int>(ProfCategory::kEngineBarrierWait)] =
-      es.barrier_wait_ticks;
-  snap.category_ticks[static_cast<int>(ProfCategory::kEngineMergePosts)] = es.merge_posts_ticks;
-  snap.category_ticks[static_cast<int>(ProfCategory::kEngineJournalReplay)] =
-      es.journal_replay_ticks;
-  snap.category_ticks[static_cast<int>(ProfCategory::kEnginePeriodicTasks)] =
-      es.periodic_tasks_ticks;
-  profile_snapshots_.push_back(snap);
 }
 
 ProfileData TigerSystem::BuildProfileData() const {
@@ -482,13 +433,14 @@ bool TigerSystem::DumpIncident(const std::string& reason) {
   return true;
 }
 
-void TigerSystem::FoldShardMetrics(MetricsRegistry* target) {
+void TigerSystem::FoldShardRegistries(MetricsRegistry* target) {
   // Accumulates every actor-written metric from the per-shard registries into
-  // `target`. Shard iteration order is fixed, registry maps are
-  // name-ordered, and histogram merges are deterministic for a fixed merge
-  // order — so the fold is thread-count-invariant. Fold targets are rebuilt
-  // from scratch each snapshot (counters/gauges zeroed, histograms Reset) so
-  // repeated snapshots don't double-count.
+  // `target`. Shard iteration order is fixed, registry maps are name-ordered
+  // and histogram merges add bucket counts exactly, so the fold is
+  // thread-count-invariant and one shard folds to an exact copy of its
+  // registry. Fold targets are rebuilt from scratch each snapshot
+  // (counters/gauges zeroed, histograms Reset) so repeated snapshots don't
+  // double-count.
   MetricsRegistry& m = *target;
   for (const auto& shard : shard_metrics_) {
     for (const auto& [name, value] : shard->counters()) {
@@ -499,9 +451,6 @@ void TigerSystem::FoldShardMetrics(MetricsRegistry* target) {
     }
     for (const auto& [name, hist] : shard->hists()) {
       m.Hist(name).Reset();
-    }
-    for (const auto& [name, hist] : shard->bounded_hists()) {
-      m.BoundedHist(name).Reset();
     }
   }
   for (const auto& shard : shard_metrics_) {
@@ -514,9 +463,6 @@ void TigerSystem::FoldShardMetrics(MetricsRegistry* target) {
     for (const auto& [name, hist] : shard->hists()) {
       m.Hist(name).MergeFrom(hist);
     }
-    for (const auto& [name, hist] : shard->bounded_hists()) {
-      m.BoundedHist(name).MergeFrom(hist);
-    }
   }
 }
 
@@ -527,9 +473,7 @@ void TigerSystem::SnapshotMetrics(TimePoint a, TimePoint b) {
 }
 
 void TigerSystem::SnapshotMetricsInto(MetricsRegistry* target, TimePoint a, TimePoint b) {
-  if (sharded()) {
-    FoldShardMetrics(target);
-  }
+  FoldShardRegistries(target);
   MetricsRegistry& m = *target;
   int64_t entries_total = 0;
   int64_t entries_max = 0;
@@ -545,7 +489,7 @@ void TigerSystem::SnapshotMetricsInto(MetricsRegistry* target, TimePoint a, Time
   m.Gauge("schedule.entries.max_per_cub") = static_cast<double>(entries_max);
   m.Gauge("cub.cpu.mean") = MeanCubCpu(a, b);
   m.Gauge("disk.busy.mean") = MeanDiskUtilization(a, b);
-  Histogram& busy = m.Hist("disk.busy_fraction");
+  BoundedHistogram& busy = m.Hist("disk.busy_fraction");
   for (size_t c = 0; c < cubs_.size(); ++c) {
     if (failed_cubs_[c]) {
       continue;
@@ -596,11 +540,6 @@ bool TigerSystem::WriteChromeTrace(const std::string& path) const {
   std::string extra = timeseries_ ? timeseries_->ChromeCounterEvents() : std::string();
   if (audit_observer_ != nullptr) {
     extra += audit_observer_->ChromeFlowEvents();
-  }
-  if (!profile_snapshots_.empty()) {
-    // Profiler cost-attribution counters (pid 2) under the sampler's metric
-    // counters (pid 1): per-interval milliseconds spent in each category.
-    extra += ProfilerChromeCounterEvents(profile_snapshots_, NsPerTick());
   }
   return WriteTextFile(
       path, Tracer::ChromeJsonOf(MergedTraceEvents(), tracers_[0]->TrackNames(), extra));

@@ -91,9 +91,7 @@ class TigerSystem {
   // CPU time and exact event counts, plus per-shard and barrier accounting.
   // Never changes logical execution — a profiled run's
   // trace/timeseries dumps are byte-identical to an unprofiled run's. Call
-  // before running; idempotent. Chrome counter tracks additionally require
-  // EnableTimeSeries (snapshots piggyback on the sampler cadence so profiling
-  // itself schedules nothing).
+  // before running; idempotent.
   void EnableProfiling();
   bool profiling_enabled() const { return profiler_ != nullptr; }
 
@@ -220,6 +218,9 @@ class TigerSystem {
   // a one-shard run; sharded runs keep one tracer per shard, so use
   // MergedTraceEvents/TraceTextDump for their event data.
   Tracer* tracer() { return tracers_.empty() ? nullptr : tracers_[0].get(); }
+  // The global registry, nullptr before EnableTracing. Metrics the actors
+  // write (vstate.lead_ms, net.*) live in per-shard registries and reach
+  // this one at each SnapshotMetrics, so read them after a snapshot.
   MetricsRegistry* metrics() { return metrics_.get(); }
   TimeSeriesSampler* timeseries() { return timeseries_.get(); }
 
@@ -231,8 +232,9 @@ class TigerSystem {
   std::string TraceTextDump() const;
   uint64_t TraceDropped() const;
 
-  // Folds the current schedule/utilization state over [a, b) into the
-  // metrics registry (no-op unless EnableTracing was called).
+  // Folds the per-shard registries and the current schedule/utilization
+  // state over [a, b) into the metrics registry (no-op unless EnableTracing
+  // was called).
   void SnapshotMetrics(TimePoint a, TimePoint b);
   // Exports the merged trace as Chrome trace_event JSON for chrome://tracing
   // or Perfetto. Returns false if tracing is not enabled or the write failed.
@@ -257,18 +259,9 @@ class TigerSystem {
  private:
   // Owner simulator for cub `c` (its shard's).
   Simulator* SimForCub(size_t c) { return &engine_->shard(cub_shards_[c]); }
-  // Registry shard `s`'s actors write: the global one for a single shard,
-  // a per-shard one (folded at snapshots) when sharded.
-  MetricsRegistry* ShardMetrics(size_t s) {
-    return sharded() ? shard_metrics_[s].get() : metrics_.get();
-  }
   // Assembles the ProfileData document (folds engine stats into the kEngine*
   // category buckets and calibrates ticks→ns from the measured run).
   ProfileData BuildProfileData() const;
-  // Appends one cumulative per-category sample for the Perfetto counter
-  // track. Runs from the time-series refresh callback (no-op when profiling
-  // is off).
-  void CaptureProfileSnapshot(TimePoint now);
   // Measured ticks→ns ratio for this process (1.0 before any profiled run).
   double NsPerTick() const {
     return profile_wall_ticks_ > 0
@@ -279,8 +272,8 @@ class TigerSystem {
   // SnapshotMetrics into `target`: the live registry, or the copy an
   // incident dump renders so the run's telemetry is left as it was.
   void SnapshotMetricsInto(MetricsRegistry* target, TimePoint a, TimePoint b);
-  // Folds per-shard metric registries into `target` (sharded only).
-  void FoldShardMetrics(MetricsRegistry* target);
+  // Folds the per-shard metric registries into `target`.
+  void FoldShardRegistries(MetricsRegistry* target);
   // Fills one flight-recorder checkpoint from barrier-consistent state.
   void CaptureFlightCheckpoint(TimePoint now);
   // Assembles and writes one tiger-incident-v1 bundle; false when capped or
@@ -294,8 +287,8 @@ class TigerSystem {
   // Simulator* is destroyed before it.
   std::unique_ptr<ShardEngine> engine_;
   std::vector<int> cub_shards_;  // cub id -> owning shard (contiguous ring segments).
-  // Tracing: one tracer per shard (merged on export). Sharded runs add one
-  // registry per shard.
+  // Tracing: one tracer and one metrics registry per shard; the tracers merge
+  // on export and the registries fold into metrics_ at each snapshot.
   std::vector<std::unique_ptr<Tracer>> tracers_;
   std::vector<std::unique_ptr<MetricsRegistry>> shard_metrics_;
   // Black-box observability (DESIGN.md §6j).
@@ -311,7 +304,6 @@ class TigerSystem {
   // barrier accounting. Wall ns/ticks accumulate across Run* calls and
   // calibrate the tick clock at render time.
   std::unique_ptr<ShardEngineProfiler> profiler_;
-  std::vector<ProfileSnapshot> profile_snapshots_;
   uint64_t profile_wall_ns_ = 0;
   uint64_t profile_wall_ticks_ = 0;
   std::unique_ptr<Network> net_;

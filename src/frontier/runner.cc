@@ -9,6 +9,7 @@
 #include "src/audit/auditor.h"
 #include "src/client/testbed.h"
 #include "src/common/check.h"
+#include "src/common/text_file.h"
 #include "src/core/messages.h"
 #include "src/core/system.h"
 #include "src/net/fault_plan.h"
@@ -413,10 +414,8 @@ ScenarioOutcome RunScenario(const ScenarioDescriptor& descriptor, const RunOptio
     const std::string summary = OutcomeSummary(outcome);
     for (const std::string& dir : system.incident_dirs()) {
       const std::string path = dir + "/outcome.txt";
-      std::FILE* f = std::fopen(path.c_str(), "wb");
-      if (f != nullptr) {
-        std::fwrite(summary.data(), 1, summary.size(), f);
-        std::fclose(f);
+      if (!WriteTextFile(path, summary)) {
+        std::fprintf(stderr, "frontier: cannot write %s\n", path.c_str());
       }
     }
   }

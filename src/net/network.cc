@@ -187,7 +187,7 @@ void Network::SetShardTrace(int shard, Tracer* tracer, TraceTrackId track,
   TraceCtx& ctx = trace_ctx_[static_cast<size_t>(shard)];
   ctx.tracer = tracer;
   ctx.track = track;
-  ctx.hop_latency_us = metrics != nullptr ? &metrics->BoundedHist("net.hop_latency_us") : nullptr;
+  ctx.hop_latency_us = metrics != nullptr ? &metrics->Hist("net.hop_latency_us") : nullptr;
   ctx.dropped_msgs = metrics != nullptr ? &metrics->Counter("net.msgs_dropped") : nullptr;
 }
 

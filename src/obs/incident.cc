@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "src/common/text_file.h"
+
 namespace tiger {
 
 namespace {
@@ -71,15 +73,7 @@ bool WriteIncidentBundle(const std::string& dir, const std::vector<IncidentFile>
   }
   bool ok = true;
   for (const IncidentFile& file : files) {
-    const std::string path = dir + "/" + file.name;
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      ok = false;
-      continue;
-    }
-    const size_t written = std::fwrite(file.contents.data(), 1, file.contents.size(), f);
-    std::fclose(f);
-    ok = ok && written == file.contents.size();
+    ok = WriteTextFile(dir + "/" + file.name, file.contents) && ok;
   }
   return ok;
 }

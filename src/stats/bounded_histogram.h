@@ -1,14 +1,16 @@
-// Fixed-bucket log-scale histogram for long-lived hot-path metrics.
+// Fixed-bucket log-scale histogram: the one histogram type MetricsRegistry
+// keeps.
 //
 // The exact-percentile Histogram keeps every raw sample, which is right for
-// experiment populations (thousands of stream starts) but wrong for metrics
+// experiment populations (hundreds of stream starts) but wrong for metrics
 // that accumulate for the whole life of a run at per-message rates: viewer-
 // state lead and hop latency grow by millions of samples in a long chaos or
 // scalability run. BoundedHistogram trades exact order statistics for O(1)
 // memory: a fixed array of logarithmically spaced buckets plus exact running
 // count/sum/min/max. Percentiles are estimated by rank walk over the buckets
 // with log interpolation inside the landing bucket — a relative error bounded
-// by the bucket width (one part in buckets_per_decade of a decade).
+// by the bucket width (one part in buckets_per_decade of a decade). Merging
+// adds bucket counts, so per-shard registries fold without loss.
 
 #ifndef SRC_STATS_BOUNDED_HISTOGRAM_H_
 #define SRC_STATS_BOUNDED_HISTOGRAM_H_

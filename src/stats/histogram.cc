@@ -8,86 +8,17 @@
 
 namespace tiger {
 
-namespace {
-
-// splitmix64: tiny, deterministic, and statistically fine for reservoir picks.
-uint64_t NextRandom(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 void Histogram::Add(double value) {
-  if (total_count_ == 0) {
+  if (samples_.empty()) {
     min_ = value;
     max_ = value;
   } else {
     min_ = value < min_ ? value : min_;
     max_ = value > max_ ? value : max_;
   }
-  total_count_++;
   sum_ += value;
-  if (samples_.size() < kMaxRetained) {
-    samples_.push_back(value);
-    sorted_valid_ = false;
-    return;
-  }
-  // Reservoir (algorithm R): keep this sample with probability cap/total,
-  // evicting a uniformly random resident, so the retained set stays a uniform
-  // subsample of everything ever added.
-  const uint64_t r = NextRandom(&reservoir_state_) % total_count_;
-  if (r < kMaxRetained) {
-    samples_[static_cast<size_t>(r)] = value;
-    sorted_valid_ = false;
-  }
-}
-
-void Histogram::Reset() {
-  samples_.clear();
-  total_count_ = 0;
-  sum_ = 0;
-  min_ = 0;
-  max_ = 0;
-  sorted_.clear();
+  samples_.push_back(value);
   sorted_valid_ = false;
-}
-
-void Histogram::MergeFrom(const Histogram& other) {
-  if (other.total_count_ == 0) {
-    return;
-  }
-  if (total_count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = other.min_ < min_ ? other.min_ : min_;
-    max_ = other.max_ > max_ ? other.max_ : max_;
-  }
-  sum_ += other.sum_;
-  // Weight each retained donor sample as a stand-in for total/retained of
-  // other's adds, so the merged total advances exactly and the reservoir odds
-  // stay proportional.
-  const size_t donor_retained = other.samples_.size();
-  for (size_t i = 0; i < donor_retained; ++i) {
-    // Distribute other's exact count across its retained samples (the last
-    // one absorbs the remainder).
-    const size_t weight = other.total_count_ / donor_retained +
-                          (i + 1 == donor_retained ? other.total_count_ % donor_retained : 0);
-    total_count_ += weight;
-    if (samples_.size() < kMaxRetained) {
-      samples_.push_back(other.samples_[i]);
-      sorted_valid_ = false;
-      continue;
-    }
-    const uint64_t r = NextRandom(&reservoir_state_) % total_count_;
-    if (r < kMaxRetained) {
-      samples_[static_cast<size_t>(r)] = other.samples_[i];
-      sorted_valid_ = false;
-    }
-  }
 }
 
 void Histogram::EnsureSorted() const {
@@ -99,28 +30,23 @@ void Histogram::EnsureSorted() const {
 }
 
 double Histogram::min() const {
-  TIGER_CHECK(total_count_ > 0);
+  TIGER_CHECK(!samples_.empty());
   return min_;
 }
 
 double Histogram::max() const {
-  TIGER_CHECK(total_count_ > 0);
+  TIGER_CHECK(!samples_.empty());
   return max_;
 }
 
 double Histogram::Mean() const {
-  TIGER_CHECK(total_count_ > 0);
-  return sum_ / static_cast<double>(total_count_);
+  TIGER_CHECK(!samples_.empty());
+  return sum_ / static_cast<double>(samples_.size());
 }
 
 double Histogram::Stddev() const {
-  TIGER_CHECK(total_count_ > 0);
-  // Two-pass over the retained set (a uniform subsample past the cap).
-  double mean = 0;
-  for (double v : samples_) {
-    mean += v;
-  }
-  mean /= static_cast<double>(samples_.size());
+  TIGER_CHECK(!samples_.empty());
+  const double mean = Mean();
   double sq = 0;
   for (double v : samples_) {
     sq += (v - mean) * (v - mean);
@@ -129,7 +55,7 @@ double Histogram::Stddev() const {
 }
 
 double Histogram::Percentile(double p) const {
-  TIGER_CHECK(total_count_ > 0);
+  TIGER_CHECK(!samples_.empty());
   TIGER_CHECK(p >= 0 && p <= 100);
   EnsureSorted();
   if (sorted_.size() == 1) {
@@ -143,7 +69,7 @@ double Histogram::Percentile(double p) const {
 }
 
 std::string Histogram::Summary() const {
-  if (total_count_ == 0) {
+  if (samples_.empty()) {
     return "n=0";
   }
   char buf[160];

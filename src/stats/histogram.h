@@ -1,20 +1,14 @@
-// Exact-percentile histogram with capped retention.
+// Exact-percentile histogram for experiment populations.
 //
-// Experiment populations here are small (thousands of stream starts, not
-// billions), so we keep raw samples and compute exact order statistics. But
-// registry histograms live for the whole run and some feed from per-message
-// paths, so retention is capped: below kMaxRetained every sample is kept and
-// percentiles are exact; beyond it, samples are reservoir-sampled (algorithm
-// R with a deterministic internal generator, so same-seed runs stay
-// byte-identical) and percentiles become estimates over a uniform subsample.
-// count(), Mean(), min() and max() stay exact regardless — they are tracked
-// as running values, not recomputed from the retained set.
+// Experiment populations here are small (hundreds of stream starts, not
+// billions), so we keep every raw sample and compute exact order statistics.
+// Long-lived metrics fed at per-message rates belong in the fixed-memory
+// BoundedHistogram (the only type MetricsRegistry keeps), not here.
 
 #ifndef SRC_STATS_HISTOGRAM_H_
 #define SRC_STATS_HISTOGRAM_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -22,34 +16,19 @@ namespace tiger {
 
 class Histogram {
  public:
-  // Exact percentiles up to this many samples; reservoir beyond.
-  static constexpr size_t kMaxRetained = 65536;
-
   void Add(double value);
 
-  // Drops every sample and running stat (the reservoir dice keep their
-  // sequence, so a Reset/refill cycle stays deterministic).
-  void Reset();
-
-  // Folds `other`'s samples and running stats into this histogram. Exact for
-  // count/sum/min/max; the retained set folds other's retained samples
-  // through the reservoir, so percentiles stay a uniform-subsample estimate.
-  // Deterministic for a fixed merge order (per-shard metric folding).
-  void MergeFrom(const Histogram& other);
-
-  // Total samples added (exact, even past the retention cap).
-  size_t count() const { return total_count_; }
-  bool empty() const { return total_count_ == 0; }
-  size_t retained() const { return samples_.size(); }
+  size_t count() const { return samples_.size(); }
+  bool empty() const { return samples_.empty(); }
   double min() const;
   double max() const;
   double Mean() const;
   double Stddev() const;
-  // p in [0, 100]. Exact below the cap; reservoir estimate above it.
+  // p in [0, 100], linearly interpolated between order statistics.
   double Percentile(double p) const;
   double Median() const { return Percentile(50); }
 
-  // The retained set (everything below the cap, a uniform subsample above).
+  // Every sample, in insertion order.
   const std::vector<double>& samples() const { return samples_; }
 
   // "n=… mean=… p50=… p95=… p99=… max=…"
@@ -59,13 +38,9 @@ class Histogram {
   void EnsureSorted() const;
 
   std::vector<double> samples_;
-  size_t total_count_ = 0;
   double sum_ = 0;
   double min_ = 0;
   double max_ = 0;
-  // Deterministic reservoir dice (splitmix64): no global RNG involvement, so
-  // histogram fills never perturb seeded simulations.
-  uint64_t reservoir_state_ = 0x9e3779b97f4a7c15ull;
   mutable std::vector<double> sorted_;
   mutable bool sorted_valid_ = false;
 };

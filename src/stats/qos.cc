@@ -1,9 +1,9 @@
 #include "src/stats/qos.h"
 
+#include "src/common/text_file.h"
 #include "src/trace/profiler.h"
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 namespace tiger {
@@ -136,12 +136,7 @@ std::string QosLedger::Csv() const {
 }
 
 bool QosLedger::WriteCsv(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return false;
-  }
-  out << Csv();
-  return static_cast<bool>(out);
+  return WriteTextFile(path, Csv());
 }
 
 std::string QosLedger::SummaryText() const {

@@ -15,9 +15,6 @@ std::string MetricsRegistry::SummaryText() const {
   for (const auto& [name, hist] : hists_) {
     out += name + " hist " + hist.Summary() + "\n";
   }
-  for (const auto& [name, hist] : bounded_hists_) {
-    out += name + " bhist " + hist.Summary() + "\n";
-  }
   return out;
 }
 
@@ -31,9 +28,6 @@ void MetricsRegistry::PrintSummary(std::FILE* out) const {
   }
   for (const auto& [name, hist] : hists_) {
     table.Row().Str(name).Str("hist").Str(hist.Summary());
-  }
-  for (const auto& [name, hist] : bounded_hists_) {
-    table.Row().Str(name).Str("bhist").Str(hist.Summary());
   }
   table.Print(out);
 }

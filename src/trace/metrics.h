@@ -8,6 +8,9 @@
 //
 // Hot paths keep a reference from Counter()/Gauge()/Hist() at wiring time —
 // std::map nodes are stable, so recording is an increment, not a lookup.
+// Every histogram is a fixed-bucket BoundedHistogram: registry metrics live
+// for the whole run, some at per-message rates, so their memory stays fixed,
+// and per-shard registries fold into one exactly (BoundedHistogram::MergeFrom).
 
 #ifndef SRC_TRACE_METRICS_H_
 #define SRC_TRACE_METRICS_H_
@@ -18,7 +21,6 @@
 #include <string>
 
 #include "src/stats/bounded_histogram.h"
-#include "src/stats/histogram.h"
 
 namespace tiger {
 
@@ -28,21 +30,14 @@ class MetricsRegistry {
   // valid for the registry's lifetime.
   int64_t& Counter(const std::string& name) { return counters_[name]; }
   double& Gauge(const std::string& name) { return gauges_[name]; }
-  Histogram& Hist(const std::string& name) { return hists_[name]; }
-  // Fixed-memory variant for metrics fed from per-message paths.
-  BoundedHistogram& BoundedHist(const std::string& name) { return bounded_hists_[name]; }
+  BoundedHistogram& Hist(const std::string& name) { return hists_[name]; }
 
-  size_t size() const {
-    return counters_.size() + gauges_.size() + hists_.size() + bounded_hists_.size();
-  }
+  size_t size() const { return counters_.size() + gauges_.size() + hists_.size(); }
 
   // Read-only views for samplers/exporters (std::map: deterministic order).
   const std::map<std::string, int64_t>& counters() const { return counters_; }
   const std::map<std::string, double>& gauges() const { return gauges_; }
-  const std::map<std::string, Histogram>& hists() const { return hists_; }
-  const std::map<std::string, BoundedHistogram>& bounded_hists() const {
-    return bounded_hists_;
-  }
+  const std::map<std::string, BoundedHistogram>& hists() const { return hists_; }
 
   // One "name kind value" line per metric, sorted by name within each kind
   // (std::map order), so two identical runs print byte-identical summaries.
@@ -53,8 +48,7 @@ class MetricsRegistry {
  private:
   std::map<std::string, int64_t> counters_;
   std::map<std::string, double> gauges_;
-  std::map<std::string, Histogram> hists_;
-  std::map<std::string, BoundedHistogram> bounded_hists_;
+  std::map<std::string, BoundedHistogram> hists_;
 };
 
 }  // namespace tiger

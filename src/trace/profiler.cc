@@ -186,40 +186,4 @@ std::string RenderProfileCountsJson(const ProfileData& d) {
   return out;
 }
 
-std::string ProfilerChromeCounterEvents(const std::vector<ProfileSnapshot>& snapshots,
-                                        double ns_per_tick) {
-  // One counter track per category that ever accumulated time, plotting the
-  // milliseconds spent in that category during each sampling interval. pid 2
-  // keeps the profiler tracks grouped apart from the timeseries counters
-  // (pid 1) in Perfetto.
-  std::string out;
-  char buf[256];
-  bool active[kProfCategoryCount] = {};
-  for (const ProfileSnapshot& s : snapshots) {
-    for (int c = 0; c < kProfCategoryCount; ++c) {
-      active[c] = active[c] || s.category_ticks[c] > 0;
-    }
-  }
-  uint64_t prev[kProfCategoryCount] = {};
-  for (const ProfileSnapshot& s : snapshots) {
-    for (int c = 0; c < kProfCategoryCount; ++c) {
-      if (!active[c]) {
-        continue;
-      }
-      // Cumulative values are scaled sampling estimates, which can tick
-      // slightly backwards between snapshots — clamp instead of wrapping.
-      const uint64_t delta =
-          s.category_ticks[c] >= prev[c] ? s.category_ticks[c] - prev[c] : 0;
-      prev[c] = s.category_ticks[c];
-      std::snprintf(buf, sizeof(buf),
-                    ",\n{\"ph\":\"C\",\"pid\":2,\"tid\":0,\"ts\":%lld,"
-                    "\"name\":\"prof.%s_ms\",\"args\":{\"value\":%.6f}}",
-                    static_cast<long long>(s.sim_us), kProfCategoryNames[c],
-                    static_cast<double>(delta) * ns_per_tick / 1e6);
-      out += buf;
-    }
-  }
-  return out;
-}
-
 }  // namespace tiger

@@ -383,19 +383,6 @@ struct ProfileData {
 std::string RenderProfileJson(const ProfileData& data);
 std::string RenderProfileCountsJson(const ProfileData& data);
 
-// One periodic sample of cumulative per-category self time, for Perfetto
-// counter tracks. sim_us is the simulated timestamp of the sample.
-struct ProfileSnapshot {
-  int64_t sim_us = 0;
-  uint64_t category_ticks[kProfCategoryCount] = {};
-};
-
-// Renders ",\n{...}"-style Chrome counter events (ph:"C") plotting the
-// per-interval milliseconds spent in each category, spliced into
-// Tracer::ChromeJson the same way TimeSeriesSampler::ChromeCounterEvents is.
-std::string ProfilerChromeCounterEvents(const std::vector<ProfileSnapshot>& snapshots,
-                                        double ns_per_tick);
-
 }  // namespace tiger
 
 // Call-site macro: a scoped exclusive-time sample against the thread's

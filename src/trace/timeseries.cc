@@ -1,9 +1,9 @@
 #include "src/trace/timeseries.h"
 
 #include <cstdio>
-#include <fstream>
 
 #include "src/common/check.h"
+#include "src/common/text_file.h"
 
 namespace tiger {
 
@@ -83,16 +83,6 @@ void TimeSeriesSampler::Sample(TimePoint now) {
       Append(name + suffix, hist.Percentile(q));
     }
   }
-  for (const auto& [name, hist] : metrics_->bounded_hists()) {
-    if (hist.empty()) {
-      continue;
-    }
-    for (double q : options_.quantiles) {
-      char suffix[32];
-      std::snprintf(suffix, sizeof(suffix), ".p%g", q);
-      Append(name + suffix, hist.Percentile(q));
-    }
-  }
 
   total_ticks_++;
 }
@@ -123,12 +113,7 @@ std::string TimeSeriesSampler::Csv() const {
 }
 
 bool TimeSeriesSampler::WriteCsv(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return false;
-  }
-  out << Csv();
-  return static_cast<bool>(out);
+  return WriteTextFile(path, Csv());
 }
 
 std::string TimeSeriesSampler::Json() const {

@@ -7,8 +7,8 @@
 //
 //  * counters  → per-interval delta (rate shape, not a monotone ramp)
 //  * gauges    → value at the tick
-//  * histograms (exact and bounded) → configured quantiles, one series per
-//    quantile named "<metric>.p<q>", sampled only once the histogram has data
+//  * histograms → configured quantiles, one series per quantile named
+//    "<metric>.p<q>", sampled only once the histogram has data
 //
 // New metrics are picked up at the tick where they first appear; earlier
 // ticks render as empty CSV cells / absent JSON points. All iteration is over

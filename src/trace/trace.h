@@ -106,10 +106,10 @@ class Tracer {
     // Events retained per track; older events are overwritten (and counted as
     // dropped) beyond this.
     size_t ring_capacity = 32768;
-    // First BeginFlow id handed out is flow_id_base + 1. Sharded runs give
-    // each shard's tracer a disjoint base (shard+1 in the top 16 bits) so
-    // flows stay unique in the merged export; a one-shard run has nothing to
-    // merge and keeps 0 — ids 1, 2, … exactly as before.
+    // First BeginFlow id handed out is flow_id_base + 1. TigerSystem gives
+    // shard s's tracer the base s << 48 (the shard in the top 16 bits), so
+    // flows stay unique in the merged export and shard 0 — all of a
+    // one-shard run — hands out 1, 2, ….
     uint64_t flow_id_base = 0;
   };
 

@@ -1,12 +1,16 @@
-// Foundations: time, ids, rng, result, units.
+// Foundations: time, ids, rng, result, units, the text-file writer.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <unordered_set>
 
 #include "src/common/ids.h"
 #include "src/common/result.h"
 #include "src/common/rng.h"
+#include "src/common/text_file.h"
 #include "src/common/time.h"
 #include "src/common/units.h"
 
@@ -125,6 +129,24 @@ TEST(UnitsTest, TransferTimeRoundsUp) {
 TEST(UnitsTest, BytesForDurationInvertsTransferTime) {
   EXPECT_EQ(BytesForDuration(Duration::Seconds(1), Megabits(2)), 250000);
   EXPECT_EQ(BytesForDuration(Duration::Millis(250), Megabits(2)), 62500);
+}
+
+TEST(TextFileTest, WritesWholeTextAndReportsFailures) {
+  const std::string path = ::testing::TempDir() + "/text_file_test.txt";
+  ASSERT_TRUE(WriteTextFile(path, "first version, longer\n"));
+  ASSERT_TRUE(WriteTextFile(path, "a,b\n1,2\n"));  // Truncates.
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream read;
+  read << in.rdbuf();
+  EXPECT_EQ(read.str(), "a,b\n1,2\n");
+  std::filesystem::remove(path);
+
+  EXPECT_FALSE(WriteTextFile(::testing::TempDir() + "/no_such_dir/x.txt", "x"));
+  if (std::filesystem::exists("/dev/full")) {
+    // The open succeeds and the buffered write is accepted; only the flush
+    // at close fails.
+    EXPECT_FALSE(WriteTextFile("/dev/full", "x"));
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "src/client/testbed.h"
 
 namespace tiger {
@@ -37,6 +39,27 @@ TEST(SystemMetricsTest, UtilizationWindowsAreConsistent) {
   EXPECT_NEAR(sum / 4.0, disks, 0.02);
   EXPECT_GT(system.CubControlTrafficBps(CubId(0), a, b), 0.0);
   EXPECT_GT(system.ControllerCpu(a, b), 0.0);
+}
+
+TEST(SystemMetricsTest, FileWritersReportAFullDevice) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full on this platform";
+  }
+  Testbed testbed(SmallConfig(), 127);
+  TigerSystem& system = testbed.system();
+  system.EnableTracing();
+  system.EnableProfiling();
+  testbed.AddContent(2, Duration::Seconds(60));
+  testbed.Start();
+  testbed.AddLoopingViewers(4, Duration::Seconds(3));
+  testbed.RunFor(Duration::Seconds(5));
+  // Each writer has something to write, so a false below is the failed
+  // flush, not an empty document.
+  EXPECT_FALSE(system.ProfileJson().empty());
+  EXPECT_FALSE(system.qos_ledger().Csv().empty());
+  EXPECT_FALSE(system.WriteProfile("/dev/full"));
+  EXPECT_FALSE(system.WriteChromeTrace("/dev/full"));
+  EXPECT_FALSE(system.qos_ledger().WriteCsv("/dev/full"));
 }
 
 TEST(SystemMetricsTest, FailedCubsExcludedFromAggregates) {

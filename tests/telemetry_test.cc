@@ -1,7 +1,7 @@
-// Continuous-telemetry tests: the bounded histogram, the capped-reservoir
-// exact histogram, the per-viewer QoS ledger's cause attribution, and the
-// time-series sampler — including a byte-identical CSV golden for a seeded
-// scenario, the same convention as trace_golden_test.
+// Continuous-telemetry tests: the bounded histogram (the registry's one
+// histogram type) and its exact fold, the per-viewer QoS ledger's cause
+// attribution, and the time-series sampler — including a byte-identical CSV
+// golden for a seeded scenario, the same convention as trace_golden_test.
 //
 // Regenerating the golden after an intentional telemetry change:
 //   TIGER_REGEN_GOLDEN=1 ./build/tests/telemetry_test
@@ -16,7 +16,6 @@
 
 #include "src/client/testbed.h"
 #include "src/stats/bounded_histogram.h"
-#include "src/stats/histogram.h"
 #include "src/stats/qos.h"
 #include "src/sim/shard_engine.h"
 #include "src/trace/timeseries.h"
@@ -59,6 +58,26 @@ TEST(BoundedHistogramTest, PercentileWithinBucketResolution) {
   // Rank extremes are exact.
   EXPECT_DOUBLE_EQ(h.Percentile(0), 1.0);
   EXPECT_DOUBLE_EQ(h.Percentile(100), 10000.0);
+
+  // Per-disk busy fractions (disk.busy_fraction): values in [0, 1], idle
+  // disks at exactly 0 in the underflow bucket.
+  BoundedHistogram busy;
+  for (int i = 0; i < 100; ++i) {
+    busy.Add(0.0);
+  }
+  for (int i = 1; i <= 900; ++i) {
+    busy.Add(static_cast<double>(i) / 900.0);
+  }
+  EXPECT_DOUBLE_EQ(busy.Percentile(0), 0.0);
+  EXPECT_DOUBLE_EQ(busy.Percentile(5), 0.0);  // Inside the idle tenth.
+  EXPECT_DOUBLE_EQ(busy.Percentile(100), 1.0);
+  // True p50 of the fill is 400/900, p95 is 850/900.
+  const double busy_p50 = busy.Percentile(50);
+  EXPECT_GT(busy_p50, 400.0 / 900.0 / 1.34);
+  EXPECT_LT(busy_p50, 400.0 / 900.0 * 1.34);
+  const double busy_p95 = busy.Percentile(95);
+  EXPECT_GT(busy_p95, 850.0 / 900.0 / 1.34);
+  EXPECT_LE(busy_p95, 1.0);
 }
 
 TEST(BoundedHistogramTest, UnderflowAndOverflowAreCaptured) {
@@ -93,37 +112,46 @@ TEST(BoundedHistogramTest, MemoryIsFixed) {
   EXPECT_EQ(h.count(), 200000);
 }
 
-// ---------------------------------------------------------------------------
-// Histogram retention cap (the unbounded-growth fix)
-// ---------------------------------------------------------------------------
-
-TEST(HistogramReservoirTest, RetentionIsCappedButStatsStayExact) {
-  Histogram h;
-  const size_t n = Histogram::kMaxRetained + 50000;
-  for (size_t i = 0; i < n; ++i) {
-    h.Add(static_cast<double>(i));
-  }
-  EXPECT_EQ(h.count(), n);
-  EXPECT_EQ(h.retained(), Histogram::kMaxRetained);
-  EXPECT_DOUBLE_EQ(h.min(), 0.0);
-  EXPECT_DOUBLE_EQ(h.max(), static_cast<double>(n - 1));
-  EXPECT_NEAR(h.Mean(), static_cast<double>(n - 1) / 2.0, 1e-6);
-  // The reservoir is a uniform subsample: the median estimate should sit
-  // near the true median (loose bound; the subsample is 65k of 115k).
-  EXPECT_NEAR(h.Percentile(50), static_cast<double>(n) / 2.0,
-              static_cast<double>(n) * 0.05);
+void ExpectSameHistogram(const BoundedHistogram& a, const BoundedHistogram& b) {
+  EXPECT_EQ(a.buckets(), b.buckets());
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+  EXPECT_EQ(a.Percentile(50), b.Percentile(50));
+  EXPECT_EQ(a.Percentile(95), b.Percentile(95));
+  EXPECT_EQ(a.Percentile(99), b.Percentile(99));
 }
 
-TEST(HistogramReservoirTest, SameFillsAreDeterministic) {
-  Histogram a;
-  Histogram b;
-  for (int i = 0; i < 100000; ++i) {
-    const double v = static_cast<double>((i * 2654435761u) % 1000003);
-    a.Add(v);
-    b.Add(v);
+TEST(BoundedHistogramTest, MergeEqualsOneFill) {
+  // TigerSystem folds each shard's registry into a reset target at every
+  // snapshot; the fold must equal one histogram fed every sample.
+  BoundedHistogram all;
+  BoundedHistogram part_a;
+  BoundedHistogram part_b;
+  for (int i = 0; i < 5000; ++i) {
+    const double v = static_cast<double>((i * 2654435761u) % 100003) / 7.0;
+    all.Add(v);
+    (i % 3 == 0 ? part_a : part_b).Add(v);
   }
-  EXPECT_EQ(a.samples(), b.samples());
-  EXPECT_DOUBLE_EQ(a.Percentile(95), b.Percentile(95));
+  all.Add(0.0);  // Underflow.
+  part_b.Add(0.0);
+  all.Add(1e9);  // Overflow.
+  part_a.Add(1e9);
+
+  BoundedHistogram target;
+  target.Add(42.0);  // Stale contents from an earlier snapshot.
+  target.Reset();
+  target.MergeFrom(part_a);
+  target.MergeFrom(part_b);
+  ExpectSameHistogram(target, all);
+
+  // One donor into a reset target is an exact copy: a one-shard run's fold.
+  BoundedHistogram single;
+  single.Add(3.0);
+  single.Reset();
+  single.MergeFrom(part_a);
+  ExpectSameHistogram(single, part_a);
+  EXPECT_EQ(single.Summary(), part_a.Summary());
 }
 
 // ---------------------------------------------------------------------------
@@ -228,7 +256,7 @@ TEST(TimeSeriesSamplerTest, HistogramQuantilesAppearOnceDataExists) {
   MetricsRegistry metrics;
   TimeSeriesSampler sampler(&sim, &metrics);
 
-  Histogram& lat = metrics.Hist("latency");
+  BoundedHistogram& lat = metrics.Hist("latency");
   sampler.SampleNow();  // empty histogram: no series yet
   EXPECT_EQ(sampler.series_count(), 0u);
   lat.Add(5.0);

@@ -23,10 +23,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "src/common/text_file.h"
 #include "src/frontier/envelope.h"
 #include "src/frontier/search.h"
 
@@ -110,12 +110,10 @@ int main(int argc, char** argv) {
 
   const std::string json_path = FlagValue(argc, argv, "json");
   if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
+    if (!tiger::WriteTextFile(json_path, tiger::frontier::EnvelopeJson(envelope))) {
       std::fprintf(stderr, "frontier_tournament: cannot write %s\n", json_path.c_str());
       return 2;
     }
-    out << tiger::frontier::EnvelopeJson(envelope);
     std::printf("\nwrote %s\n", json_path.c_str());
   }
   return 0;
