@@ -88,6 +88,55 @@ void BM_ViewApplyViewerState(benchmark::State& state) {
 }
 BENCHMARK(BM_ViewApplyViewerState);
 
+// One cub's EvictionTick on a steady view: each 1 s tick lands the records
+// that keep the view's size constant (untimed), then evicts what fell behind
+// the 8 s retention (timed). The argument is the lead in seconds, how far
+// ahead of its due a record lands. At 9 s (the default max_vstate_lead) the
+// view is ring_control-sized: ~1,100 entries in ~600 buckets, ~65 of them
+// leaving per tick. Longer leads grow the view while the turnover per tick
+// stays at 65, so a tick whose cost tracks what expires stays flat across
+// the arguments, and one that walks the view grows with it.
+void BM_ViewEvictSteadyState(benchmark::State& state) {
+  constexpr int64_t kLandedPerTick = 65;
+  const Duration lead = Duration::Seconds(state.range(0));
+  const Duration retention = Duration::Seconds(8);
+  // About two entries per bucket, as on a ring_control cub.
+  const int64_t slots = kLandedPerTick * (state.range(0) + 8) * 100 / 185;
+  ScheduleView view(Duration::Seconds(3), static_cast<size_t>(slots) + 16);
+  ViewerStateRecord record;
+  record.instance = PlayInstanceId(1);
+  int64_t landed = 0;
+  TimePoint now = TimePoint::FromMicros(0);
+  auto tick = [&] {
+    now += Duration::Seconds(1);
+    for (int64_t i = 0; i < kLandedPerTick; ++i, ++landed) {
+      record.viewer = ViewerId(static_cast<uint32_t>(landed % slots));
+      record.slot = SlotId(static_cast<uint32_t>(landed % slots));
+      record.sequence = landed;
+      record.due = now + lead + Duration::Micros(i);
+      view.ApplyViewerState(record, now);
+    }
+  };
+  // Warm up past one full lead + retention so the view is at its working size.
+  for (int64_t i = 0; i < state.range(0) + 20; ++i) {
+    tick();
+    view.EvictBefore(now - retention, now);
+  }
+  int64_t evicted = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    tick();
+    state.ResumeTiming();
+    const int n = view.EvictBefore(now - retention, now);
+    benchmark::DoNotOptimize(n);
+    evicted += n;
+  }
+  state.counters["entries"] = static_cast<double>(view.entry_count());
+  state.counters["evicted_per_tick"] =
+      static_cast<double>(evicted) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_ViewEvictSteadyState)->Arg(9)->Arg(36)->Arg(144);
+
 void BM_NetworkScheduleCanInsert(benchmark::State& state) {
   NetworkSchedule schedule(Duration::Seconds(1), 14, 155000000);
   // Populate to ~80% with 2 Mbit entries.

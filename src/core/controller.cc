@@ -140,6 +140,7 @@ void Controller::RouteStart(const ClientRequestMsg& msg) {
   stub.start_position = msg.start_position;
   PlayInstanceId instance(next_instance_++);
   plays_.emplace(instance.value(), stub);
+  newest_play_.insert_or_assign(msg.viewer, instance.value());
 
   auto start = MakePooledMessage<StartPlayMsg>();
   start->viewer = msg.viewer;
@@ -164,13 +165,16 @@ void Controller::RouteStart(const ClientRequestMsg& msg) {
 
 void Controller::RouteStop(const ClientRequestMsg& msg) {
   counters_.stops_routed++;
-  // Find the viewer's active play (a viewer has at most one).
+  // Find the viewer's active play: the instance the client names, else the
+  // viewer's newest one.
   auto play = plays_.end();
-  for (auto it = plays_.begin(); it != plays_.end(); ++it) {
-    if (it->second.viewer == msg.viewer) {
-      play = it;
-      break;
-    }
+  if (msg.instance.valid()) {
+    play = plays_.find(msg.instance.value());
+  } else if (auto newest = newest_play_.find(msg.viewer); newest != newest_play_.end()) {
+    play = plays_.find(newest->second);
+  }
+  if (play != plays_.end() && play->second.viewer != msg.viewer) {
+    play = plays_.end();  // Not this viewer's play to stop.
   }
   if (play == plays_.end()) {
     // No routing stub — either the play already ended, or this controller is
@@ -220,7 +224,7 @@ void Controller::RouteStop(const ClientRequestMsg& msg) {
     record.slot = SlotId::Invalid();
     target = TargetCubForDisk(layout_->PrimaryDisk(file, stub.start_position));
   }
-  plays_.erase(play);
+  ErasePlay(play);
 
   auto deschedule = MakePooledMessage<DescheduleMsg>();
   deschedule->record = record;
@@ -229,6 +233,14 @@ void Controller::RouteStop(const ClientRequestMsg& msg) {
   CubId backup = failure_view_.FirstLivingSuccessor(target);
   net_->Send(address_, addresses_->CubAddress(backup), DescheduleMsg::WireBytes(),
              std::move(deschedule));
+}
+
+Controller::PlayMap::iterator Controller::ErasePlay(PlayMap::iterator play) {
+  auto newest = newest_play_.find(play->second.viewer);
+  if (newest != newest_play_.end() && newest->second == play->first) {
+    newest_play_.erase(newest);
+  }
+  return plays_.erase(play);
 }
 
 void Controller::OnStartConfirm(const StartConfirmMsg& msg) {
@@ -264,7 +276,7 @@ void Controller::PurgeTick() {
       TimePoint end = stub.first_block_due +
                       config_->block_play_time * (file.block_count - stub.start_position);
       if (end + Duration::Seconds(10) < Now()) {
-        it = plays_.erase(it);
+        it = ErasePlay(it);
         continue;
       }
     }

@@ -71,6 +71,7 @@ class Controller : public Actor, public NetworkEndpoint {
     SlotId slot;
     TimePoint first_block_due;
   };
+  using PlayMap = std::unordered_map<uint64_t, PlayStub>;
 
   void OnClientRequest(const ClientRequestMsg& msg);
   void RouteStart(const ClientRequestMsg& msg);
@@ -81,6 +82,9 @@ class Controller : public Actor, public NetworkEndpoint {
   void PurgeTick();
   void MonitorTick();
   void TakeOver();
+
+  // Erases a routing stub (and its newest_play_ entry, if it is the newest).
+  PlayMap::iterator ErasePlay(PlayMap::iterator play);
 
   // First living cub responsible for `disk`'s requests.
   CubId TargetCubForDisk(DiskId disk) const;
@@ -103,7 +107,10 @@ class Controller : public Actor, public NetworkEndpoint {
   // Lineage state for controller-minted start/kill messages.
   uint64_t lamport_ = 0;
   uint32_t next_msg_epoch_ = 1;
-  std::unordered_map<uint64_t, PlayStub> plays_;  // By instance id.
+  PlayMap plays_;  // By instance id.
+  // Each viewer's newest play instance with a stub in plays_, for stops that
+  // do not name their instance. Erased with that stub.
+  std::unordered_map<ViewerId, uint64_t> newest_play_;
   // Standby / failover state.
   bool active_ = true;
   bool took_over_ = false;

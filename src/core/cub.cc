@@ -1,7 +1,6 @@
 #include "src/core/cub.h"
 
 #include <algorithm>
-#include <iterator>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -153,6 +152,8 @@ void Cub::Rejoin() {
   ticking_disks_.clear();
   redundant_starts_.clear();
   seen_instances_.clear();
+  seen_oldest_ = nullptr;
+  seen_newest_ = nullptr;
   last_heard_.clear();
   counters_.rejoins++;
   // Hold off inserting new viewers until the replies have repopulated the
@@ -753,20 +754,39 @@ Duration Cub::ForwardSafety() const {
 }
 
 void Cub::NoteInstanceSeen(uint64_t instance) {
+  SeenNode* seen = nullptr;
   auto it = seen_instances_.find(instance);
   if (it != seen_instances_.end()) {
-    it->second = Now();
-    return;
-  }
-  if (!seen_nodes_.empty()) {
+    seen = &*it;
+    if (seen->second.stamp == Now()) {
+      return;  // Every node after it carries this stamp too: the order holds.
+    }
+    UnlinkSeen(seen);
+  } else if (!seen_nodes_.empty()) {
     SeenMap::node_type node = std::move(seen_nodes_.back());
     seen_nodes_.pop_back();
     node.key() = instance;
-    node.mapped() = Now();
-    seen_instances_.insert(std::move(node));
-    return;
+    seen = &*seen_instances_.insert(std::move(node)).position;
+  } else {
+    seen = &*seen_instances_.emplace(instance, SeenStamp{}).first;
   }
-  seen_instances_.emplace(instance, Now());
+  seen->second = SeenStamp{Now(), seen_newest_, nullptr};
+  (seen_newest_ != nullptr ? seen_newest_->second.newer : seen_oldest_) = seen;
+  seen_newest_ = seen;
+}
+
+void Cub::UnlinkSeen(SeenNode* node) {
+  SeenStamp& links = node->second;
+  (links.older != nullptr ? links.older->second.newer : seen_oldest_) = links.newer;
+  (links.newer != nullptr ? links.newer->second.older : seen_newest_) = links.older;
+}
+
+std::optional<TimePoint> Cub::InstanceLastSeen(uint64_t instance) const {
+  auto it = seen_instances_.find(instance);
+  if (it == seen_instances_.end()) {
+    return std::nullopt;
+  }
+  return it->second.stamp;
 }
 
 void Cub::NoteUnforwardedEntry(const ViewerStateRecord& record) {
@@ -1434,14 +1454,10 @@ void Cub::EvictionTick() {
   const Duration seen_retention =
       retention + config_->deadman_timeout * 2 + config_->block_play_time * 2;
   const TimePoint seen_horizon = Now() - seen_retention;
-  for (auto it = seen_instances_.begin(); it != seen_instances_.end();) {
-    if (it->second < seen_horizon) {
-      auto next = std::next(it);
-      seen_nodes_.push_back(seen_instances_.extract(it));
-      it = next;
-    } else {
-      ++it;
-    }
+  while (seen_oldest_ != nullptr && seen_oldest_->second.stamp < seen_horizon) {
+    const uint64_t expired = seen_oldest_->first;
+    UnlinkSeen(seen_oldest_);
+    seen_nodes_.push_back(seen_instances_.extract(expired));
   }
   After(Duration::Seconds(1), [this] { EvictionTick(); });
 }

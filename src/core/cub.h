@@ -136,6 +136,9 @@ class Cub : public Actor, public NetworkEndpoint {
   const BlockCache& block_cache() const { return cache_; }
   int64_t free_buffer_bytes() const { return free_buffer_bytes_; }
   size_t queued_start_requests() const;
+  // When this cub last saw a viewer state of `instance`; nullopt once the
+  // sighting has aged out (or never happened).
+  std::optional<TimePoint> InstanceLastSeen(uint64_t instance) const;
   DiskId GlobalDiskId(int local_index) const;
 
   // NetworkEndpoint:
@@ -146,6 +149,22 @@ class Cub : public Actor, public NetworkEndpoint {
     StartPlayMsg msg;
     TimePoint queued_at;
   };
+
+  // A seen instance's last sighting. The nodes of seen_instances_ also form
+  // a recency list, oldest stamp first: a sighting moves its node to the
+  // newest end, so aging pops expired nodes off the oldest end and never
+  // looks at a live one. Stamps are Now() and a cub's clock only advances,
+  // so the list stays sorted. The links fit in the node's pool block beside
+  // the stamp, so the index costs no memory.
+  struct SeenStamp;
+  using SeenNode = std::pair<const uint64_t, SeenStamp>;
+  struct SeenStamp {
+    TimePoint stamp;
+    SeenNode* older = nullptr;
+    SeenNode* newer = nullptr;
+  };
+  using SeenMap = std::unordered_map<uint64_t, SeenStamp, std::hash<uint64_t>,
+                                     std::equal_to<uint64_t>, PoolAllocator<SeenNode>>;
 
   // --- message handlers ---
   void OnViewerStateBatch(const ViewerStateBatchMsg& msg);
@@ -197,8 +216,10 @@ class Cub : public Actor, public NetworkEndpoint {
   // called whenever an entry this cub is responsible for forwarding enters
   // the view (or is re-armed) unforwarded, or ForwardTick may sleep past it.
   void NoteUnforwardedEntry(const ViewerStateRecord& record);
-  // seen_instances_[instance] = Now(), reusing a stashed node if available.
+  // seen_instances_[instance] = Now(), reusing a stashed node if available,
+  // and moves the instance to the newest end of the recency list.
   void NoteInstanceSeen(uint64_t instance);
+  void UnlinkSeen(SeenNode* node);
   // Forwards `entry`'s successor record immediately if eligible; marks it.
   void MaybeForwardEntry(ScheduleEntry& entry, BatchMap& batches);
   void FlushBatches(BatchMap& batches);
@@ -283,10 +304,10 @@ class Cub : public Actor, public NetworkEndpoint {
   // EvictionTick comfortably covers both uses: duplicate StartPlay copies
   // arrive within the network-duplication delay of the original, and a
   // redundant start only activates within the deadman detection window.
-  using SeenMap =
-      std::unordered_map<uint64_t, TimePoint, std::hash<uint64_t>, std::equal_to<uint64_t>,
-                         PoolAllocator<std::pair<const uint64_t, TimePoint>>>;
+  // seen_oldest_/seen_newest_ are the ends of its recency list (SeenStamp).
   SeenMap seen_instances_;
+  SeenNode* seen_oldest_ = nullptr;
+  SeenNode* seen_newest_ = nullptr;
   // Nodes aged out of seen_instances_, kept for reuse. EvictionTick fires at
   // the same sim instant on every cub, so at large shapes the synchronized
   // burst of freed nodes would overflow the payload pool's per-class cap and

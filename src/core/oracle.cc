@@ -8,12 +8,6 @@ void ScheduleOracle::OnInsert(SlotId slot, ViewerId viewer, PlayInstanceId insta
                               TimePoint when) {
   auto& occupants = occupancy_[slot];
   ++inserts_;
-  {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "t=%.6f INSERT slot=%u inst=%llu", when.seconds(),
-                  slot.value(), static_cast<unsigned long long>(instance.value()));
-    history_.emplace_back(buf);
-  }
   if (!occupants.empty()) {
     ++conflicts_;
     char buf[240];
@@ -29,13 +23,7 @@ void ScheduleOracle::OnInsert(SlotId slot, ViewerId viewer, PlayInstanceId insta
   occupants.push_back(Occupancy{viewer, instance, when});
 }
 
-void ScheduleOracle::OnRemove(SlotId slot, PlayInstanceId instance, TimePoint when) {
-  {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "t=%.6f REMOVE slot=%u inst=%llu", when.seconds(),
-                  slot.value(), static_cast<unsigned long long>(instance.value()));
-    history_.emplace_back(buf);
-  }
+void ScheduleOracle::OnRemove(SlotId slot, PlayInstanceId instance, TimePoint /*when*/) {
   auto it = occupancy_.find(slot);
   if (it == occupancy_.end()) {
     return;

@@ -44,8 +44,6 @@ class ScheduleOracle {
                      TimePoint now);
 
   int conflict_count() const { return conflicts_; }
-  // Chronological insert/remove event log (for test diagnostics).
-  const std::vector<std::string>& history() const { return history_; }
   int mistimed_send_count() const { return mistimed_sends_; }
   int insert_count() const { return inserts_; }
   const std::vector<std::string>& violations() const { return violations_; }
@@ -63,7 +61,6 @@ class ScheduleOracle {
   int mistimed_sends_ = 0;
   int inserts_ = 0;
   std::vector<std::string> violations_;
-  std::vector<std::string> history_;
 };
 
 }  // namespace tiger

@@ -1,7 +1,7 @@
 #include "src/schedule/schedule_view.h"
 
 #include <algorithm>
-#include <iterator>
+#include <functional>
 #include <utility>
 
 #include "src/common/check.h"
@@ -64,6 +64,7 @@ ScheduleView::ApplyResult ScheduleView::ApplyViewerStateImpl(const ViewerStateRe
   entry.received = now;
   bucket.entries.push_back(entry);
   ++live_entries_;
+  File(entry_expiry_, bucket.entry_filed, record.due, record.slot);
   if (log_landings_) {
     landings_.push_back(record.DedupKey());
   }
@@ -113,6 +114,9 @@ ScheduleView::DescheduleOutcome ScheduleView::ApplyDeschedule(const DescheduleRe
     ++live_holds_;
     outcome.new_hold = true;
   }
+  // An extended hold is still covered: the bucket's live item is no later
+  // than its old hold_until.
+  File(hold_expiry_, bucket.hold_filed, hold_until, deschedule.slot);
   TIGER_TRACE_INSTANT(tracer_, trace_track_, TraceEventType::kDescheduleApply,
                       TraceArgs{.viewer = deschedule.viewer.value(),
                                 .slot = deschedule.slot.value(),
@@ -180,46 +184,88 @@ const ScheduleEntry* ScheduleView::Find(const ViewerStateRecord::Key& key) const
   return nullptr;
 }
 
-int ScheduleView::EvictBefore(TimePoint entry_horizon, TimePoint now) {
-  int evicted = 0;
-  for (auto it = buckets_.begin(); it != buckets_.end();) {
-    SlotBucket& bucket = it->second;
-    auto entry_end = std::remove_if(bucket.entries.begin(), bucket.entries.end(),
-                                    [&](const ScheduleEntry& e) {
-                                      return e.record().due < entry_horizon;
-                                    });
-    evicted += static_cast<int>(bucket.entries.end() - entry_end);
-    live_entries_ -= static_cast<size_t>(bucket.entries.end() - entry_end);
-    bucket.entries.erase(entry_end, bucket.entries.end());
-    auto hold_end = std::remove_if(bucket.holds.begin(), bucket.holds.end(),
-                                   [&](const Hold& h) { return h.hold_until < now; });
-    live_holds_ -= static_cast<size_t>(bucket.holds.end() - hold_end);
-    bucket.holds.erase(hold_end, bucket.holds.end());
-    // Emptied buckets must leave the map, not stay: every slot in the ring
-    // eventually passes through every cub, so retained empties would grow the
-    // map toward the global slot count and ForEachEntry — which ForwardTick
-    // runs on every flush — would pay for the whole ring instead of the live
-    // window. Their nodes are stashed for reuse rather than destroyed; see
-    // free_nodes_.
-    if (bucket.entries.empty() && bucket.holds.empty()) {
-      auto next = std::next(it);
-      if (free_nodes_.size() < stash_limit_) {
-        free_nodes_.push_back(buckets_.extract(it));
-      } else {
-        // Stash already holds the steady-state working set; this node is
-        // kill-transient overflow. Destroy it so its block (and its vectors')
-        // go back to the payload pool rather than accreting here.
-        buckets_.erase(it);
-      }
-      it = next;
-    } else {
-      ++it;
-    }
+void ScheduleView::File(ExpiryHeap& heap, TimePoint& filed, TimePoint when, SlotId slot) {
+  if (when >= filed) {
+    return;
   }
+  filed = when;
+  heap.push_back(Expiry{when, slot});
+  std::push_heap(heap.begin(), heap.end(), std::greater<>());
+}
+
+int ScheduleView::EvictBefore(TimePoint entry_horizon, TimePoint now) {
+  const int evicted = EvictDue(entry_expiry_, &SlotBucket::entry_filed, entry_horizon,
+                               entry_horizon, now) +
+                      EvictDue(hold_expiry_, &SlotBucket::hold_filed, now, entry_horizon, now);
   if (evicted > 0) {
     TIGER_TRACE_INSTANT(tracer_, trace_track_, TraceEventType::kViewEvict,
                         TraceArgs{.a = evicted});
   }
+  return evicted;
+}
+
+int ScheduleView::EvictDue(ExpiryHeap& heap, TimePoint SlotBucket::*filed, TimePoint horizon,
+                           TimePoint entry_horizon, TimePoint now) {
+  int evicted = 0;
+  while (!heap.empty() && heap.front().when < horizon) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+    const Expiry item = heap.back();
+    heap.pop_back();
+    auto it = buckets_.find(item.slot);
+    if (it == buckets_.end() || it->second.*filed != item.when) {
+      continue;  // Stale: the bucket was refiled or released since.
+    }
+    it->second.*filed = TimePoint::Max();  // The live item is gone; EvictBucket refiles.
+    evicted += EvictBucket(it, entry_horizon, now);
+  }
+  return evicted;
+}
+
+int ScheduleView::EvictBucket(BucketMap::iterator it, TimePoint entry_horizon, TimePoint now) {
+  SlotBucket& bucket = it->second;
+  auto entry_end = std::remove_if(bucket.entries.begin(), bucket.entries.end(),
+                                  [&](const ScheduleEntry& e) {
+                                    return e.record().due < entry_horizon;
+                                  });
+  const int evicted = static_cast<int>(bucket.entries.end() - entry_end);
+  live_entries_ -= static_cast<size_t>(evicted);
+  bucket.entries.erase(entry_end, bucket.entries.end());
+  auto hold_end = std::remove_if(bucket.holds.begin(), bucket.holds.end(),
+                                 [&](const Hold& h) { return h.hold_until < now; });
+  live_holds_ -= static_cast<size_t>(bucket.holds.end() - hold_end);
+  bucket.holds.erase(hold_end, bucket.holds.end());
+  // Emptied buckets must leave the map, not stay: every slot in the ring
+  // eventually passes through every cub, so retained empties would grow the
+  // map toward the global slot count and ForEachEntry — which ForwardTick
+  // runs on every flush — would pay for the whole ring instead of the live
+  // window. Their nodes are stashed for reuse rather than destroyed; see
+  // free_nodes_. Their items left in the index are stale from here on.
+  if (bucket.entries.empty() && bucket.holds.empty()) {
+    bucket.entry_filed = TimePoint::Max();
+    bucket.hold_filed = TimePoint::Max();
+    if (free_nodes_.size() < stash_limit_) {
+      free_nodes_.push_back(buckets_.extract(it));
+    } else {
+      // Stash already holds the steady-state working set; this node is
+      // kill-transient overflow. Destroy it so its block (and its vectors')
+      // go back to the payload pool rather than accreting here.
+      buckets_.erase(it);
+    }
+    return evicted;
+  }
+  // Whatever is left expires no earlier than the horizons, so refiling never
+  // puts an item back in front of the drain that popped this one. A kind with
+  // nothing left stays at Max, which File leaves unfiled.
+  TimePoint earliest_due = TimePoint::Max();
+  for (const ScheduleEntry& entry : bucket.entries) {
+    earliest_due = std::min(earliest_due, entry.record().due);
+  }
+  File(entry_expiry_, bucket.entry_filed, earliest_due, it->first);
+  TimePoint earliest_hold = TimePoint::Max();
+  for (const Hold& hold : bucket.holds) {
+    earliest_hold = std::min(earliest_hold, hold.hold_until);
+  }
+  File(hold_expiry_, bucket.hold_filed, earliest_hold, it->first);
   return evicted;
 }
 

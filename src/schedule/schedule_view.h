@@ -97,6 +97,7 @@ class ScheduleView {
       : late_horizon_(late_horizon),
         stash_limit_(reserve_buckets == 0 ? SIZE_MAX : reserve_buckets) {
     free_nodes_.reserve(reserve_buckets);
+    entry_expiry_.reserve(reserve_buckets);
     while (free_nodes_.size() < reserve_buckets) {
       const SlotId dummy(UINT32_MAX - static_cast<uint32_t>(free_nodes_.size()));
       SlotBucket& bucket = buckets_[dummy];
@@ -186,8 +187,11 @@ class ScheduleView {
     }
   }
 
-  // Drops entries whose due time precedes `horizon` and expired holds.
-  // Returns the number of entries evicted.
+  // Drops entries whose due time precedes `entry_horizon` and holds that
+  // expired before `now`, and releases buckets left empty. Returns the number
+  // of entries evicted. Visits only the buckets the expiry index says hold
+  // something due, so a tick costs O(expired log view), not O(view); what
+  // leaves, and when, is exactly what a walk of every bucket would drop.
   int EvictBefore(TimePoint entry_horizon, TimePoint now);
 
   // O(1): maintained at every insert/remove so per-checkpoint digests (the
@@ -204,12 +208,42 @@ class ScheduleView {
   struct SlotBucket {
     EntryVec entries;
     std::vector<Hold, PoolAllocator<Hold>> holds;
+    // Times this bucket is filed under in entry_expiry_ / hold_expiry_, or
+    // Max when it has no live item there. The fields ride in the map node's
+    // pool block, which has room for them (the node stays in the 128-byte
+    // class).
+    TimePoint entry_filed = TimePoint::Max();
+    TimePoint hold_filed = TimePoint::Max();
   };
   using BucketMap =
       std::unordered_map<SlotId, SlotBucket, std::hash<SlotId>, std::equal_to<SlotId>,
                          PoolAllocator<std::pair<const SlotId, SlotBucket>>>;
 
+  // Expiry index: a min-heap of (time, slot) items, one live item per bucket
+  // and kind. A bucket's live item is the one whose time equals its
+  // `*_filed` field, and that time is never later than the bucket's earliest
+  // entry due (entry_expiry_) or hold_until (hold_expiry_). Items left behind
+  // when a bucket is refiled or released are stale and are dropped when they
+  // surface.
+  struct Expiry {
+    TimePoint when;
+    SlotId slot;
+    // With std::greater, the heap's front is the earliest item.
+    friend bool operator>(const Expiry& a, const Expiry& b) { return a.when > b.when; }
+  };
+  using ExpiryHeap = std::vector<Expiry>;
+
   ApplyResult ApplyViewerStateImpl(const ViewerStateRecord& record, TimePoint now);
+
+  // Files `slot` under `when` unless its live item is already no later.
+  static void File(ExpiryHeap& heap, TimePoint& filed, TimePoint when, SlotId slot);
+  // Pops every item due before `horizon` and evicts its bucket; returns the
+  // number of entries evicted.
+  int EvictDue(ExpiryHeap& heap, TimePoint SlotBucket::*filed, TimePoint horizon,
+               TimePoint entry_horizon, TimePoint now);
+  // Drops `it`'s expired entries and holds, then refiles the bucket or, if
+  // nothing is left, releases it; returns the number of entries evicted.
+  int EvictBucket(BucketMap::iterator it, TimePoint entry_horizon, TimePoint now);
 
   // Reuses a retained node from free_nodes_ when the slot is absent, so the
   // steady-state erase/create bucket churn (slot ownership rotates around the
@@ -230,6 +264,10 @@ class ScheduleView {
   // instead, returning their blocks to the pool.
   std::vector<BucketMap::node_type> free_nodes_;
   size_t stash_limit_;
+  // Reserved to the bucket reserve, which holds one live item per bucket of
+  // the view's working set.
+  ExpiryHeap entry_expiry_;
+  ExpiryHeap hold_expiry_;
   size_t live_entries_ = 0;  // Sum of bucket entry counts.
   size_t live_holds_ = 0;    // Sum of bucket hold counts.
   Tracer* tracer_ = nullptr;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "src/client/testbed.h"
 
@@ -171,6 +174,86 @@ TEST(CubProtocolTest, StartRequestDedupAcrossPrimaryAndRedundant) {
   Cub::Counters totals = system.TotalCubCounters();
   EXPECT_EQ(totals.inserts, 1);
   EXPECT_EQ(system.oracle()->conflict_count(), 0);
+}
+
+// The instance `viewer` plays in some cub's view, or nullopt.
+std::optional<PlayInstanceId> InstanceOf(TigerSystem& system, ViewerId viewer) {
+  std::optional<PlayInstanceId> instance;
+  for (int c = 0; c < system.config().shape.num_cubs && !instance; ++c) {
+    system.cub(CubId(static_cast<uint32_t>(c))).view().ForEachEntry([&](const ScheduleEntry& e) {
+      if (e.record().viewer == viewer) {
+        instance = e.record().instance;
+      }
+    });
+  }
+  return instance;
+}
+
+TEST(CubProtocolTest, SeenInstancesAgeOutOnlyWhenNoLongerRefreshed) {
+  // A cub remembers each play instance it has seen (duplicate-start dedup)
+  // until its last sighting falls behind the seen horizon at an eviction
+  // tick. A playing instance keeps being re-sighted and must survive far
+  // past one retention; a stopped one must leave at the first tick whose
+  // horizon passes its last sighting, not a tick earlier or later.
+  TigerConfig config = SmallConfig();
+  Testbed testbed(config, 61);
+  testbed.AddContent(2, Duration::Seconds(200));
+  testbed.Start();
+  TigerSystem& system = testbed.system();
+  const TimePoint started = system.sim().Now();  // Eviction ticks: every second from here.
+  // The seen horizon, as Cub::EvictionTick computes it.
+  const Duration retention = std::max(
+      config.view_retention, config.deadman_timeout + config.heartbeat_interval * 2);
+  const Duration seen_retention =
+      retention + config.deadman_timeout * 2 + config.block_play_time * 2;
+
+  ViewerClient& live = testbed.AddViewer(FileId(0));
+  ViewerClient& stopped = testbed.AddViewer(FileId(1));
+  testbed.RunFor(Duration::Seconds(12));
+  const std::optional<PlayInstanceId> live_instance = InstanceOf(system, live.id());
+  const std::optional<PlayInstanceId> stopped_instance = InstanceOf(system, stopped.id());
+  ASSERT_TRUE(live_instance.has_value());
+  ASSERT_TRUE(stopped_instance.has_value());
+  stopped.RequestStop();
+
+  // Sample every cub just after each tick. The stopped instance's last
+  // sighting is read while the cub still holds it.
+  const int cubs = config.shape.num_cubs;
+  std::vector<std::optional<TimePoint>> last_stopped(cubs);
+  std::vector<TimePoint> first_live(cubs, TimePoint::Max());
+  std::vector<int> dropped_at(cubs, -1);
+  for (int k = 13; k <= 90; ++k) {
+    const TimePoint tick = started + Duration::Seconds(k);
+    testbed.RunUntil(tick + Duration::Millis(1));
+    const TimePoint horizon = tick - seen_retention;
+    for (int c = 0; c < cubs; ++c) {
+      const Cub& cub = system.cub(CubId(static_cast<uint32_t>(c)));
+      const std::optional<TimePoint> live_seen = cub.InstanceLastSeen(live_instance->value());
+      ASSERT_TRUE(live_seen.has_value()) << "cub " << c << " forgot a playing instance at tick "
+                                         << k;
+      EXPECT_GE(*live_seen, horizon);
+      first_live[c] = std::min(first_live[c], *live_seen);
+      const std::optional<TimePoint> seen = cub.InstanceLastSeen(stopped_instance->value());
+      if (seen.has_value()) {
+        EXPECT_GE(*seen, horizon) << "cub " << c << " kept an expired instance at tick " << k;
+        last_stopped[c] = seen;
+      } else if (last_stopped[c].has_value() && dropped_at[c] < 0) {
+        dropped_at[c] = k;
+        EXPECT_LT(*last_stopped[c], horizon) << "cub " << c << " dropped early at tick " << k;
+      }
+    }
+  }
+  int dropping_cubs = 0;
+  for (int c = 0; c < cubs; ++c) {
+    // The playing instance's first sampled sighting would have aged out well
+    // before the last tick; it is still held because it was re-sighted.
+    EXPECT_LT(first_live[c] + seen_retention, started + Duration::Seconds(90)) << "cub " << c;
+    if (last_stopped[c].has_value()) {
+      EXPECT_GE(dropped_at[c], 0) << "cub " << c << " never aged out the stopped instance";
+      ++dropping_cubs;
+    }
+  }
+  EXPECT_GT(dropping_cubs, 0);
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
+#include <vector>
+
+#include "src/common/rng.h"
 #include "src/common/units.h"
 #include "src/schedule/schedule_view.h"
 
@@ -165,6 +170,216 @@ TEST_F(ScheduleViewTest, FindByKey) {
   ViewerStateRecord other = record;
   other.sequence = 8;
   EXPECT_EQ(view_.Find(other.DedupKey()), nullptr);
+}
+
+// The view's semantics with the eviction it had before the expiry index:
+// every EvictBefore walks every bucket. Buckets are created and erased
+// through the same map operations as the view's, so an equal ForEachEntry
+// sequence also shows that evicting buckets in a different order leaves the
+// surviving ones in the same iteration order.
+class ReferenceView {
+ public:
+  explicit ReferenceView(Duration late_horizon) : late_horizon_(late_horizon) {}
+
+  ScheduleView::ApplyResult Apply(const ViewerStateRecord& record, TimePoint now) {
+    if (record.due + late_horizon_ < now) {
+      return ScheduleView::ApplyResult::kTooLate;
+    }
+    if (auto it = buckets_.find(record.slot); it != buckets_.end()) {
+      for (const Hold& hold : it->second.holds) {
+        if (hold.hold_until >= now && hold.deschedule.viewer == record.viewer &&
+            hold.deschedule.instance == record.instance) {
+          return ScheduleView::ApplyResult::kKilledByDeschedule;
+        }
+      }
+    }
+    Bucket& bucket = buckets_[record.slot];
+    for (const ViewerStateRecord& entry : bucket.entries) {
+      if (entry.DedupKey() == record.DedupKey()) {
+        return ScheduleView::ApplyResult::kDuplicate;
+      }
+    }
+    for (const ViewerStateRecord& entry : bucket.entries) {
+      if (!entry.is_mirror() && !record.is_mirror() && entry.due == record.due &&
+          (entry.viewer != record.viewer || entry.instance != record.instance)) {
+        return ScheduleView::ApplyResult::kConflict;
+      }
+    }
+    bucket.entries.push_back(record);
+    return ScheduleView::ApplyResult::kNew;
+  }
+
+  // Returns (entries removed, new hold).
+  std::pair<size_t, bool> Deschedule(const DescheduleRecord& deschedule, TimePoint hold_until) {
+    Bucket& bucket = buckets_[deschedule.slot];
+    auto kept = std::stable_partition(
+        bucket.entries.begin(), bucket.entries.end(), [&](const ViewerStateRecord& entry) {
+          return entry.viewer != deschedule.viewer || entry.instance != deschedule.instance;
+        });
+    const size_t removed = static_cast<size_t>(bucket.entries.end() - kept);
+    bucket.entries.erase(kept, bucket.entries.end());
+    for (Hold& hold : bucket.holds) {
+      if (hold.deschedule == deschedule) {
+        hold.hold_until = std::max(hold.hold_until, hold_until);
+        return {removed, false};
+      }
+    }
+    bucket.holds.push_back(Hold{deschedule, hold_until});
+    return {removed, true};
+  }
+
+  int EvictBefore(TimePoint entry_horizon, TimePoint now) {
+    int evicted = 0;
+    for (auto it = buckets_.begin(); it != buckets_.end();) {
+      Bucket& bucket = it->second;
+      auto entry_end = std::remove_if(
+          bucket.entries.begin(), bucket.entries.end(),
+          [&](const ViewerStateRecord& entry) { return entry.due < entry_horizon; });
+      evicted += static_cast<int>(bucket.entries.end() - entry_end);
+      bucket.entries.erase(entry_end, bucket.entries.end());
+      std::erase_if(bucket.holds, [&](const Hold& hold) { return hold.hold_until < now; });
+      it = bucket.entries.empty() && bucket.holds.empty() ? buckets_.erase(it) : std::next(it);
+    }
+    return evicted;
+  }
+
+  size_t entry_count() const {
+    size_t n = 0;
+    for (const auto& [slot, bucket] : buckets_) {
+      n += bucket.entries.size();
+    }
+    return n;
+  }
+  size_t hold_count() const {
+    size_t n = 0;
+    for (const auto& [slot, bucket] : buckets_) {
+      n += bucket.holds.size();
+    }
+    return n;
+  }
+  std::vector<ViewerStateRecord::Key> Entries() const {
+    std::vector<ViewerStateRecord::Key> keys;
+    for (const auto& [slot, bucket] : buckets_) {
+      for (const ViewerStateRecord& entry : bucket.entries) {
+        keys.push_back(entry.DedupKey());
+      }
+    }
+    return keys;
+  }
+
+ private:
+  struct Hold {
+    DescheduleRecord deschedule;
+    TimePoint hold_until;
+  };
+  struct Bucket {
+    std::vector<ViewerStateRecord> entries;
+    std::vector<Hold> holds;
+  };
+  Duration late_horizon_;
+  std::unordered_map<SlotId, Bucket> buckets_;
+};
+
+std::vector<ViewerStateRecord::Key> EntryKeys(const ScheduleView& view) {
+  std::vector<ViewerStateRecord::Key> keys;
+  view.ForEachEntry([&](const ScheduleEntry& entry) { keys.push_back(entry.record().DedupKey()); });
+  return keys;
+}
+
+// Drives one view and the reference through the same seeded mix of applies,
+// deschedules and hold refreshes, evicting at 1 s steps the way a cub does,
+// and requires them to agree after every step. `reserve` > 0 exercises the
+// node stash, including the overflow nodes it destroys.
+void RunIndexedEvictionAgainstReference(uint64_t seed, size_t reserve) {
+  const Duration hold = Duration::Seconds(3);
+  const Duration retention = Duration::Seconds(8);
+  ScheduleView view(hold, reserve);
+  ReferenceView reference(hold);
+  Rng rng(seed);
+  constexpr int kViewers = 24;
+  constexpr int kSlots = 48;
+  // The instance each viewer is playing; a kill moves it to a new one.
+  std::vector<uint64_t> instance(kViewers);
+  for (int v = 0; v < kViewers; ++v) {
+    instance[v] = 1000 + v;
+  }
+  std::vector<int64_t> sequence(kViewers, 0);
+  TimePoint now = TimePoint::FromMicros(20'000'000);
+  for (int tick = 0; tick < 120; ++tick) {
+    const int ops = static_cast<int>(rng.UniformInt(0, 60));
+    for (int op = 0; op < ops; ++op) {
+      now += Duration::Micros(rng.UniformInt(0, 20'000));
+      const int v = static_cast<int>(rng.UniformInt(0, kViewers - 1));
+      const int64_t kind = rng.UniformInt(0, 9);
+      if (kind < 7) {
+        ViewerStateRecord record = MakeRecord(
+            static_cast<uint32_t>(v), instance[v],
+            static_cast<uint32_t>(rng.UniformInt(0, kSlots - 1)), sequence[v]++, 0);
+        if (rng.Bernoulli(0.1)) {
+          record.instance = PlayInstanceId(instance[v] - 1);  // Stale copy of a killed play.
+        }
+        if (rng.Bernoulli(0.3)) {
+          record.mirror_fragment = static_cast<int32_t>(rng.UniformInt(0, 3));
+        }
+        if (rng.Bernoulli(0.1)) {
+          --sequence[v];  // A duplicate (or, at another slot, a near-duplicate).
+        }
+        // Past dues (some too late), on-the-second dues and the 9 s lead.
+        record.due = rng.Bernoulli(0.2)
+                         ? TimePoint::FromMicros(now.micros() / 1'000'000 * 1'000'000)
+                         : now + Duration::Micros(rng.UniformInt(-4'000'000, 9'000'000));
+        ASSERT_EQ(view.ApplyViewerState(record, now), reference.Apply(record, now))
+            << "tick " << tick << " op " << op;
+        continue;
+      }
+      DescheduleRecord kill{ViewerId(static_cast<uint32_t>(v)), PlayInstanceId(instance[v]),
+                            SlotId(static_cast<uint32_t>(rng.UniformInt(0, kSlots - 1)))};
+      if (kind == 7) {
+        // Slot-less: resolved the way a cub resolves it, from the view's first
+        // primary entry for the instance; nothing to apply if there is none.
+        kill.slot = SlotId::Invalid();
+        view.ForEachEntry([&](const ScheduleEntry& entry) {
+          if (!kill.slot.valid() && entry.record().instance == kill.instance &&
+              !entry.record().is_mirror()) {
+            kill.slot = entry.record().slot;
+          }
+        });
+        if (!kill.slot.valid()) {
+          continue;
+        }
+      }
+      // Kind 9 refreshes the hold with an earlier or a later expiry.
+      const TimePoint hold_until =
+          now + Duration::Micros(kind == 9 ? rng.UniformInt(0, 15'000'000) : 12'000'000);
+      ScheduleView::DescheduleOutcome outcome = view.ApplyDeschedule(kill, now, hold_until);
+      const auto [removed, new_hold] = reference.Deschedule(kill, hold_until);
+      ASSERT_EQ(outcome.removed.size(), removed) << "tick " << tick << " op " << op;
+      ASSERT_EQ(outcome.new_hold, new_hold) << "tick " << tick << " op " << op;
+      if (kind != 9 && rng.Bernoulli(0.5)) {
+        ++instance[v];  // The viewer restarts as a new play.
+      }
+    }
+    now = TimePoint::FromMicros((now.micros() / 1'000'000 + 1) * 1'000'000);
+    ASSERT_EQ(view.EvictBefore(now - retention, now),
+              reference.EvictBefore(now - retention, now))
+        << "tick " << tick;
+    ASSERT_EQ(view.entry_count(), reference.entry_count()) << "tick " << tick;
+    ASSERT_EQ(view.hold_count(), reference.hold_count()) << "tick " << tick;
+    ASSERT_EQ(EntryKeys(view), reference.Entries()) << "tick " << tick;
+  }
+  // Long after the last apply, everything has aged out.
+  now += Duration::Seconds(30);
+  EXPECT_EQ(view.EvictBefore(now - retention, now), reference.EvictBefore(now - retention, now));
+  EXPECT_EQ(view.entry_count(), 0u);
+  EXPECT_EQ(view.hold_count(), 0u);
+}
+
+TEST(ScheduleViewIndexTest, IndexedEvictionMatchesFullWalk) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    RunIndexedEvictionAgainstReference(seed, 0);
+    RunIndexedEvictionAgainstReference(seed, 16);
+  }
 }
 
 }  // namespace
