@@ -35,6 +35,14 @@ size_t ViewBucketReserve(const TigerConfig& config) {
   return static_cast<size_t>(per_cub * window_blocks + 16);
 }
 
+// Forward queue capacity. Between two flushes a cub's queue holds about one
+// item per stream it serves waiting out maxVStateLead plus one per stream
+// that arrived since the last flush; a third per stream and slack keep its
+// growth out of the steady state.
+size_t ForwardQueueReserve(const TigerConfig& config) {
+  return static_cast<size_t>(3 * config.MaxStreams() / config.shape.num_cubs + 16);
+}
+
 }  // namespace
 
 Cub::Cub(Simulator* sim, CubId id, const TigerConfig* config, const Catalog* catalog,
@@ -54,6 +62,7 @@ Cub::Cub(Simulator* sim, CubId id, const TigerConfig* config, const Catalog* cat
       failure_view_(config->shape),
       free_buffer_bytes_(config->buffer_pool_bytes) {
   address_ = net_->Attach(this, name(), config->cub_nic_bps);
+  forward_queue_.reserve(ForwardQueueReserve(*config));
   // Stock the payload pool's kill-message size class. Deschedules are rare,
   // so nothing else keeps this class warm the way batch traffic keeps the
   // viewer-state classes warm — without priming, any kill wave with more
@@ -154,6 +163,7 @@ void Cub::Rejoin() {
   seen_instances_.clear();
   seen_oldest_ = nullptr;
   seen_newest_ = nullptr;
+  forward_queue_.clear();
   last_heard_.clear();
   counters_.rejoins++;
   // Hold off inserting new viewers until the replies have repopulated the
@@ -358,8 +368,7 @@ void Cub::ProcessAcceptedRecord(const ViewerStateRecord::Key& key) {
   const ViewerStateRecord record = entry->record();  // Copy: view may rehash below.
   DiskId serving = ServingDisk(record);
   if (IsMyDisk(serving) && !failure_view_.IsDiskFailed(serving)) {
-    // This cub owns the record's forwarding duty; make sure ForwardTick's
-    // skip bound wakes up for it.
+    // This cub owns the record's forwarding duty.
     NoteUnforwardedEntry(record);
     ScheduleEntryWork(key);
     return;
@@ -769,6 +778,11 @@ void Cub::NoteInstanceSeen(uint64_t instance) {
     seen = &*seen_instances_.insert(std::move(node)).position;
   } else {
     seen = &*seen_instances_.emplace(instance, SeenStamp{}).first;
+    // Keep room in the stash for every node there is, so aging a burst of
+    // instances out in EvictionTick never grows the stash vector.
+    if (seen_nodes_.capacity() < seen_instances_.size()) {
+      seen_nodes_.reserve(2 * seen_instances_.size());
+    }
   }
   seen->second = SeenStamp{Now(), seen_newest_, nullptr};
   (seen_newest_ != nullptr ? seen_newest_->second.newer : seen_oldest_) = seen;
@@ -794,10 +808,8 @@ void Cub::NoteUnforwardedEntry(const ViewerStateRecord& record) {
   if (!next.has_value()) {
     return;  // Terminal records never trigger a flush.
   }
-  const TimePoint trigger = next->due - config_->min_vstate_lead - ForwardSafety();
-  if (trigger < next_forward_check_) {
-    next_forward_check_ = trigger;
-  }
+  forward_queue_.push_back(ForwardItem{next->due, record.DedupKey()});
+  std::push_heap(forward_queue_.begin(), forward_queue_.end(), std::greater<>());
 }
 
 void Cub::ForwardTick() {
@@ -806,52 +818,33 @@ void Cub::ForwardTick() {
   // most urgent record approaches its deadline. The min/max gap is exactly
   // what lets many records share one message.
   //
-  // An entry's flush-trigger time (successor due − minVStateLead − safety) is
-  // fixed the moment it enters the view, so next_forward_check_ — a lower
-  // bound over every unforwarded entry, lowered at accept/re-arm and
-  // recomputed exactly by each scan — lets ticks that provably cannot flush
-  // skip the O(view) walk. Scans still run on exactly the ticks an
-  // unconditional walk would have flushed, so wire behavior is unchanged.
-  if (Now() >= next_forward_check_) {
-    const Duration safety = ForwardSafety();
-    TimePoint earliest = TimePoint::Max();
-    bool flush = false;
-    view_.ForEachEntry([&](ScheduleEntry& entry) {
-      if (flush || entry.forwarded || entry.backup_only) {
-        return;
-      }
-      std::optional<ViewerStateRecord> next = SuccessorRecord(entry.record());
-      if (!next.has_value()) {
-        return;
-      }
-      const TimePoint trigger = next->due - config_->min_vstate_lead - safety;
-      if (trigger <= Now()) {
-        flush = true;
-      } else if (trigger < earliest) {
-        earliest = trigger;
-      }
-    });
-    if (flush) {
-      earliest = TimePoint::Max();
-      BatchMap batches;
-      view_.ForEachEntry([&](ScheduleEntry& entry) {
-        MaybeForwardEntry(entry, batches);
-        if (entry.forwarded || entry.backup_only) {
-          return;
-        }
-        // Still held back (beyond maxVStateLead); fold its trigger into the
-        // next wakeup bound.
-        std::optional<ViewerStateRecord> next = SuccessorRecord(entry.record());
-        if (next.has_value()) {
-          const TimePoint trigger = next->due - config_->min_vstate_lead - safety;
-          if (trigger < earliest) {
-            earliest = trigger;
-          }
-        }
-      });
-      FlushBatches(batches);
+  // An entry's flush trigger (successor due − minVStateLead − safety) is
+  // fixed when it is filed, so the forward queue's front is the earliest
+  // trigger. Stale fronts are dropped until a live one is found; if that one
+  // is due, the flush pops every item within maxVStateLead, in (successor
+  // due, key) order, which is also the order records take on the wire.
+  const Duration trigger_lead = config_->min_vstate_lead + ForwardSafety();
+  auto pop = [this] {
+    std::pop_heap(forward_queue_.begin(), forward_queue_.end(), std::greater<>());
+    const ViewerStateRecord::Key key = forward_queue_.back().key;
+    forward_queue_.pop_back();
+    return key;
+  };
+  while (!forward_queue_.empty() && forward_queue_.front().due - trigger_lead <= Now()) {
+    const ScheduleEntry* front = view_.Find(forward_queue_.front().key);
+    if (front == nullptr || front->forwarded || front->backup_only) {
+      pop();
+      continue;
     }
-    next_forward_check_ = earliest;
+    const TimePoint horizon = Now() + config_->max_vstate_lead;
+    BatchMap batches;
+    while (!forward_queue_.empty() && forward_queue_.front().due <= horizon) {
+      if (ScheduleEntry* entry = view_.Find(pop())) {
+        MaybeForwardEntry(*entry, batches);
+      }
+    }
+    FlushBatches(batches);
+    break;
   }
   After(config_->forward_interval, [this] { ForwardTick(); });
 }
@@ -870,8 +863,8 @@ void Cub::MaybeForwardEntry(ScheduleEntry& entry, BatchMap& batches) {
     return;
   }
   // Scoped after the early-outs: the count is records actually encoded for
-  // forwarding, not entries merely considered (the forward tick scans far
-  // more entries than it forwards — the scan glue stays in timer_dispatch).
+  // forwarding, not entries merely considered (the queue glue stays in
+  // timer_dispatch).
   TIGER_PROF_SCOPE(kVStateEncode);
   entry.forwarded = true;
   StampLineageForSend(&*next);
@@ -1357,19 +1350,18 @@ void Cub::HandleFailure(CubId failed_cub, DiskId failed_disk) {
     // Re-arm forwarding for every still-relevant entry; the next tick sends
     // to the *living* successors and idempotent receive absorbs any copies
     // that did get through.
-    view_.ForEachEntry([&](ScheduleEntry& entry) {
-      if (!config_->reforward_on_failure) {
-        return;
-      }
-      if (entry.backup_only || !entry.forwarded || entry.takeover_processed) {
-        return;
-      }
-      std::optional<ViewerStateRecord> next = SuccessorRecord(entry.record());
-      if (next.has_value() && next->due + config_->block_play_time >= Now()) {
-        entry.forwarded = false;
-        NoteUnforwardedEntry(entry.record());
-      }
-    });
+    if (config_->reforward_on_failure) {
+      view_.ForEachEntry([&](ScheduleEntry& entry) {
+        if (entry.backup_only || !entry.forwarded || entry.takeover_processed) {
+          return;
+        }
+        std::optional<ViewerStateRecord> next = SuccessorRecord(entry.record());
+        if (next.has_value() && next->due + config_->block_play_time >= Now()) {
+          entry.forwarded = false;
+          NoteUnforwardedEntry(entry.record());
+        }
+      });
+    }
     if (failure_view_.FirstLivingSuccessor(failed_cub) == id_) {
       ActivateRedundantStarts(failed_cub);
     }

@@ -139,7 +139,16 @@ class Cub : public Actor, public NetworkEndpoint {
   // When this cub last saw a viewer state of `instance`; nullopt once the
   // sighting has aged out (or never happened).
   std::optional<TimePoint> InstanceLastSeen(uint64_t instance) const;
+  // Items in the forward queue, stale ones included.
+  size_t forward_queue_size() const { return forward_queue_.size(); }
   DiskId GlobalDiskId(int local_index) const;
+
+  // The record this cub forwards on behalf of `record` (the next block for a
+  // primary, the next fragment for a mirror); nullopt at end of file / chain.
+  std::optional<ViewerStateRecord> SuccessorRecord(const ViewerStateRecord& record) const;
+  // Margin subtracted from a successor's due time when deciding whether the
+  // batch must flush now (network latency + jitter + one tick + slack).
+  Duration ForwardSafety() const;
 
   // NetworkEndpoint:
   void HandleMessage(const MessageEnvelope& envelope) override;
@@ -197,10 +206,6 @@ class Cub : public Actor, public NetworkEndpoint {
   bool IsMyDisk(DiskId disk) const;
   SimulatedDisk* LocalDisk(DiskId disk) const;
 
-  // The record this cub forwards on behalf of `record` (the next block for a
-  // primary, the next fragment for a mirror); nullopt at end of file / chain.
-  std::optional<ViewerStateRecord> SuccessorRecord(const ViewerStateRecord& record) const;
-
   // --- forwarding ---
   // Per-successor batch accumulator for one forwarding pass. Pool-backed so
   // the per-tick build/flush cycle recycles map nodes instead of allocating.
@@ -209,12 +214,9 @@ class Cub : public Actor, public NetworkEndpoint {
                          std::equal_to<NetAddress>,
                          PoolAllocator<std::pair<const NetAddress, ViewerStateBatchMsg>>>;
   void ForwardTick();
-  // Margin subtracted from a successor's due time when deciding whether the
-  // batch must flush now (network latency + jitter + one tick + slack).
-  Duration ForwardSafety() const;
-  // Lowers next_forward_check_ to `record`'s flush-trigger time. Must be
+  // Files `record` in forward_queue_ under its successor's due time. Must be
   // called whenever an entry this cub is responsible for forwarding enters
-  // the view (or is re-armed) unforwarded, or ForwardTick may sleep past it.
+  // the view (or is re-armed) unforwarded, or ForwardTick never sends it.
   void NoteUnforwardedEntry(const ViewerStateRecord& record);
   // seen_instances_[instance] = Now(), reusing a stashed node if available,
   // and moves the instance to the newest end of the recency list.
@@ -324,10 +326,18 @@ class Cub : public Actor, public NetworkEndpoint {
   // A freshly rejoined cub holds off inserting new viewers until its view has
   // been repopulated by rejoin replies (occupancy proof for its slots).
   TimePoint insert_allowed_after_ = TimePoint::Zero();
-  // Lower bound on the earliest time any unforwarded entry can trigger a
-  // batch flush. ForwardTick skips its O(view) scans while Now() is below
-  // this; accept/re-arm paths lower it, scans recompute it exactly.
-  TimePoint next_forward_check_ = TimePoint::Zero();
+  // Forward queue: a min-heap of (successor due, key) items, one filed per
+  // entry that became pending (accepted here or re-armed after a failure).
+  // The front holds the earliest flush trigger, so a forward tick touches
+  // only the items it forwards or finds stale. An item is stale once its
+  // entry is gone, forwarded or backup-only; stale items are dropped as they
+  // surface. Heap order is the batch order on the wire.
+  struct ForwardItem {
+    TimePoint due;  // The successor record's due time.
+    ViewerStateRecord::Key key;
+    auto operator<=>(const ForwardItem&) const = default;
+  };
+  std::vector<ForwardItem> forward_queue_;
   // Lamport clock over lineage-tagged control messages; survives Rejoin() via
   // the merge on the first received record (a reboot forgetting the clock is
   // safe: merged stamps only ever move it forward).

@@ -236,10 +236,11 @@ int ScheduleView::EvictBucket(BucketMap::iterator it, TimePoint entry_horizon, T
   bucket.holds.erase(hold_end, bucket.holds.end());
   // Emptied buckets must leave the map, not stay: every slot in the ring
   // eventually passes through every cub, so retained empties would grow the
-  // map toward the global slot count and ForEachEntry — which ForwardTick
-  // runs on every flush — would pay for the whole ring instead of the live
-  // window. Their nodes are stashed for reuse rather than destroyed; see
-  // free_nodes_. Their items left in the index are stale from here on.
+  // map toward the global slot count, and every ForEachEntry (failure
+  // re-arm, takeover scan, rejoin reply) would pay for the whole ring instead
+  // of the live window. Their nodes are stashed for reuse rather than
+  // destroyed; see free_nodes_. Their items left in the index are stale from
+  // here on.
   if (bucket.entries.empty() && bucket.holds.empty()) {
     bucket.entry_filed = TimePoint::Max();
     bucket.hold_filed = TimePoint::Max();

@@ -5,9 +5,12 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/client/testbed.h"
+#include "src/common/rng.h"
 
 namespace tiger {
 namespace {
@@ -254,6 +257,185 @@ TEST(CubProtocolTest, SeenInstancesAgeOutOnlyWhenNoLongerRefreshed) {
     }
   }
   EXPECT_GT(dropping_cubs, 0);
+}
+
+// Hands every message to `cub`, first checking that each viewer-state batch
+// lists its records in strictly ascending (due, key) order.
+class BatchOrderSpy : public NetworkEndpoint {
+ public:
+  explicit BatchOrderSpy(Cub* cub) : cub_(cub) {}
+
+  void HandleMessage(const MessageEnvelope& envelope) override {
+    const auto& msg = static_cast<const TigerMessage&>(*envelope.payload);
+    if (msg.kind == MsgKind::kViewerStateBatch) {
+      static_cast<const ViewerStateBatchMsg&>(msg).DecodeInto(&records_);
+      if (records_.size() > 1) {
+        ++multi_record_batches;
+      }
+      for (size_t i = 1; i < records_.size(); ++i) {
+        if (std::pair(records_[i].due, records_[i].DedupKey()) <=
+            std::pair(records_[i - 1].due, records_[i - 1].DedupKey())) {
+          ++out_of_order;
+        }
+      }
+    }
+    cub_->HandleMessage(envelope);
+  }
+
+  int multi_record_batches = 0;
+  int out_of_order = 0;
+
+ private:
+  Cub* cub_;
+  std::vector<ViewerStateRecord> records_;
+};
+
+// An entry `cub` still has to forward, and its successor's due time.
+struct PendingForward {
+  ViewerStateRecord::Key key;
+  TimePoint next_due;
+};
+
+std::vector<PendingForward> PendingForwards(const Cub& cub) {
+  std::vector<PendingForward> pending;
+  cub.view().ForEachEntry([&](const ScheduleEntry& entry) {
+    if (entry.forwarded || entry.backup_only) {
+      return;
+    }
+    if (std::optional<ViewerStateRecord> next = cub.SuccessorRecord(entry.record())) {
+      pending.push_back(PendingForward{entry.record().DedupKey(), next->due});
+    }
+  });
+  return pending;
+}
+
+TEST(CubProtocolTest, ForwardQueueFlushesWhenTheWalkWould) {
+  // The oracle is the walk the forward queue replaced: at a tick, a cub
+  // flushes iff some pending entry's trigger (successor due − minVStateLead −
+  // ForwardSafety) has come, and a flush forwards every pending entry whose
+  // successor is due within maxVStateLead, and nothing else. The walk is run
+  // over each cub's view just before every 100 ms forward tick and checked
+  // just after it. A power cut re-arms forwarding on the survivors; the
+  // revival is a rejoin.
+  int64_t flushes = 0;
+  int64_t boundary_forwards = 0;  // Successor due − maxVStateLead == the tick.
+  int64_t multi_record_batches = 0;
+  int64_t failures_detected = 0;
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    TigerConfig config = SmallConfig();
+    // A NIC of five streams per disk makes the slots 200 ms wide, so every
+    // due time sits on the 100 ms forward grid. With an 8.8 s maxVStateLead,
+    // some successors then come due exactly at a flush's horizon, the edge
+    // case of its `<=`.
+    config.cub_nic_bps = config.max_stream_bps * 5;
+    config.max_vstate_lead = Duration::Millis(8'800);
+    // Off the forward grid: a deadman re-arm on a tick's instant would run
+    // before that tick, after the oracle's snapshot.
+    config.heartbeat_interval = Duration::Micros(512'300);
+    Testbed testbed(config, 700 + seed);
+    TigerSystem& system = testbed.system();
+    testbed.AddContent(4, Duration::Seconds(120));
+    const int cubs = config.shape.num_cubs;
+    std::vector<std::unique_ptr<BatchOrderSpy>> spies;
+    for (int c = 0; c < cubs; ++c) {
+      Cub& cub = system.cub(CubId(static_cast<uint32_t>(c)));
+      spies.push_back(std::make_unique<BatchOrderSpy>(&cub));
+      system.net().Reassign(cub.address(), spies.back().get());
+    }
+    const TimePoint start = system.sim().Now();  // Forward ticks: every 100 ms from here.
+    testbed.Start();
+    // Twelve viewers join in the first 5 s. One cub is cut at the first tick
+    // from `cut` on at which its queue holds items, and revived 12 s later.
+    Rng rng(seed);
+    std::vector<std::pair<int, FileId>> joins(12);
+    for (auto& [join_tick, file] : joins) {
+      join_tick = static_cast<int>(rng.UniformInt(1, 50));
+      file = FileId(static_cast<uint32_t>(rng.PickIndex(4)));
+    }
+    const CubId victim(static_cast<uint32_t>(rng.PickIndex(cubs)));
+    const int cut = static_cast<int>(rng.UniformInt(150, 250));
+    int revive = -1;  // Set when the cut lands.
+    const Duration min_lead = config.min_vstate_lead;
+    const Duration max_lead = config.max_vstate_lead;
+
+    int violations = 0;
+    std::string first_violation;
+    auto violation = [&](const std::string& what, int cub, TimePoint tick) {
+      if (violations++ == 0) {
+        first_violation = "seed " + std::to_string(seed) + " cub " + std::to_string(cub) +
+                          " tick " + std::to_string(tick.micros()) + ": " + what;
+      }
+    };
+    std::vector<std::vector<PendingForward>> before(cubs);
+    std::vector<bool> flush(cubs);
+    for (int k = 1; k <= 600; ++k) {
+      const TimePoint tick = start + config.forward_interval * k;
+      testbed.RunUntil(tick - Duration::Micros(1));
+      for (int c = 0; c < cubs; ++c) {
+        const Cub& cub = system.cub(CubId(static_cast<uint32_t>(c)));
+        before[c] = PendingForwards(cub);
+        flush[c] = false;
+        for (const PendingForward& p : before[c]) {
+          flush[c] = flush[c] || p.next_due - min_lead - cub.ForwardSafety() <= tick;
+        }
+        flushes += flush[c] ? 1 : 0;
+      }
+      if (k == revive) {
+        // On the forward grid, so the rejoined cub ticks with the others.
+        testbed.RunUntil(tick);
+        system.ReviveCubNow(victim);
+        EXPECT_EQ(system.cub(victim).forward_queue_size(), 0u)
+            << "a rejoined cub must forget its pending forwards";
+      }
+      testbed.RunUntil(tick + Duration::Micros(1));
+      for (int c = 0; c < cubs; ++c) {
+        const Cub& cub = system.cub(CubId(static_cast<uint32_t>(c)));
+        if (system.IsCubFailed(cub.id()) || (k == revive && cub.id() == victim)) {
+          continue;
+        }
+        for (const PendingForward& p : before[c]) {
+          const ScheduleEntry* entry = cub.view().Find(p.key);
+          if (entry == nullptr || entry->backup_only) {
+            continue;  // Descheduled, evicted or taken over.
+          }
+          const bool due = flush[c] && p.next_due - max_lead <= tick;
+          if (due && !entry->forwarded) {
+            violation("a flush left a record within maxVStateLead behind", c, tick);
+          } else if (!due && entry->forwarded) {
+            violation("forwarded a record the walk would have held", c, tick);
+          }
+          boundary_forwards += due && p.next_due - max_lead == tick ? 1 : 0;
+        }
+        for (const PendingForward& p : PendingForwards(cub)) {
+          if (p.next_due - min_lead - cub.ForwardSafety() <= tick) {
+            violation("a due trigger did not flush", c, tick);
+          }
+        }
+      }
+      for (const auto& [join_tick, file] : joins) {
+        if (join_tick == k) {
+          testbed.AddViewer(file);
+        }
+      }
+      if (revive < 0 && k >= cut && system.cub(victim).forward_queue_size() > 0) {
+        system.FailCubNow(victim);
+        revive = k + 120;
+      }
+    }
+    EXPECT_EQ(violations, 0) << first_violation;
+    for (const auto& spy : spies) {
+      EXPECT_EQ(spy->out_of_order, 0) << "seed " << seed;
+      multi_record_batches += spy->multi_record_batches;
+    }
+    const Cub::Counters totals = system.TotalCubCounters();
+    EXPECT_EQ(totals.rejoins, 1) << "seed " << seed;
+    failures_detected += totals.failures_detected;
+  }
+  // The scenario reaches what the checks are about.
+  EXPECT_GT(flushes, 0);
+  EXPECT_GT(boundary_forwards, 0);
+  EXPECT_GT(multi_record_batches, 0);
+  EXPECT_GT(failures_detected, 0);
 }
 
 }  // namespace
