@@ -8,6 +8,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
+#include <vector>
+
+#include "src/common/rng.h"
 #include "src/core/config.h"
 #include "src/layout/striping.h"
 #include "src/schedule/geometry.h"
@@ -136,6 +140,41 @@ void BM_ViewEvictSteadyState(benchmark::State& state) {
       static_cast<double>(evicted) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_ViewEvictSteadyState)->Arg(9)->Arg(36)->Arg(144);
+
+// A per-entry timer resolving its entry. The view is ring_control-sized
+// (~1,100 entries in ~600 buckets, as in BM_ViewEvictSteadyState at 9 s),
+// and the refs are visited in shuffled order so consecutive lookups do not
+// walk the slab in landing order.
+void BM_ViewGetCold(benchmark::State& state) {
+  constexpr int64_t kSlots = 600;
+  constexpr int64_t kEntries = 1100;
+  ScheduleView view(Duration::Seconds(3), kSlots + 16, 2 * kEntries);
+  std::vector<ScheduleView::EntryRef> refs;
+  ViewerStateRecord record;
+  record.instance = PlayInstanceId(1);
+  const TimePoint now = TimePoint::FromMicros(0);
+  for (int64_t i = 0; i < kEntries; ++i) {
+    record.viewer = ViewerId(static_cast<uint32_t>(i % kSlots));
+    record.slot = SlotId(static_cast<uint32_t>(i % kSlots));
+    record.sequence = i;
+    record.due = now + Duration::Seconds(9) + Duration::Micros(i);
+    ScheduleView::EntryRef ref;
+    view.ApplyViewerState(record, now, &ref);
+    refs.push_back(ref);
+  }
+  Rng rng(1);
+  for (size_t i = refs.size() - 1; i > 0; --i) {
+    std::swap(refs[i], refs[rng.PickIndex(i + 1)]);
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    const ScheduleEntry* entry = view.Get(refs[next]);
+    benchmark::DoNotOptimize(entry->record().due);
+    next = next + 1 == refs.size() ? 0 : next + 1;
+  }
+  state.counters["entries"] = static_cast<double>(view.entry_count());
+}
+BENCHMARK(BM_ViewGetCold);
 
 void BM_NetworkScheduleCanInsert(benchmark::State& state) {
   NetworkSchedule schedule(Duration::Seconds(1), 14, 155000000);

@@ -35,6 +35,17 @@ size_t ViewBucketReserve(const TigerConfig& config) {
   return static_cast<size_t>(per_cub * window_blocks + 16);
 }
 
+// Entry slab capacity. A cub holds the records of the streams it serves and,
+// as the double-forwarding backup, its predecessor's: up to two entries per
+// stream-block (a stream served here times a block time of the max-lead +
+// retention window, the bucket reserve's unit). The largest steady live-entry
+// count measured on the perfbench workloads is 1.90 per stream-block (1,307
+// entries against 688 on failover_observed; ring_control 1.78, vod_churn
+// 1.09), so twice the bucket reserve holds the working set without growth.
+// Views that a failure or a rejoin inflates grow the slab once, as a high
+// water.
+size_t ViewEntryReserve(const TigerConfig& config) { return 2 * ViewBucketReserve(config); }
+
 // Forward queue capacity. Between two flushes a cub's queue holds about one
 // item per stream it serves waiting out maxVStateLead plus one per stream
 // that arrived since the last flush; a third per stream and slack keep its
@@ -58,7 +69,7 @@ Cub::Cub(Simulator* sim, CubId id, const TigerConfig* config, const Catalog* cat
       net_(net),
       rng_(std::move(rng)),
       cache_(config->block_cache_bytes),
-      view_(config->deschedule_hold, ViewBucketReserve(*config)),
+      view_(config->deschedule_hold, ViewBucketReserve(*config), ViewEntryReserve(*config)),
       failure_view_(config->shape),
       free_buffer_bytes_(config->buffer_pool_bytes) {
   address_ = net_->Attach(this, name(), config->cub_nic_bps);
@@ -148,7 +159,10 @@ void Cub::Rejoin() {
   TIGER_CHECK(!halted()) << "TigerSystem must Restart() the actor before Rejoin()";
   // A rebooted machine remembers nothing: every piece of protocol state is
   // rebuilt from zero and repopulated by the living peers' rejoin replies.
-  view_ = ScheduleView(config_->deschedule_hold, ViewBucketReserve(*config_));
+  // Generations continue from the old view's, so a ref from before the
+  // reboot never names an entry of the rebuilt view.
+  view_ = ScheduleView(config_->deschedule_hold, ViewBucketReserve(*config_),
+                       ViewEntryReserve(*config_), view_.next_generation());
   view_.SetTrace(tracer_, trace_track_);
   if (auditor_ != nullptr) {
     view_.EnableLandingLog();
@@ -292,7 +306,8 @@ void Cub::OnViewerState(const ViewerStateRecord& record) {
                                   .a = static_cast<int64_t>(record.lineage.ChainId()),
                                   .b = record.lineage.hop_count});
   }
-  const ScheduleView::ApplyResult apply_result = view_.ApplyViewerState(record, Now());
+  EntryRef landed;
+  const ScheduleView::ApplyResult apply_result = view_.ApplyViewerState(record, Now(), &landed);
   if (auditor_ != nullptr) {
     ShardEngine::JournalCall(auditor_, &AuditObserver::OnRecordReceived, Now(), id_.value(), record,
                              apply_result);
@@ -306,7 +321,7 @@ void Cub::OnViewerState(const ViewerStateRecord& record) {
       }
       NoteInstanceSeen(record.instance.value());
       redundant_starts_.erase(record.instance.value());
-      ProcessAcceptedRecord(record.DedupKey());
+      ProcessAcceptedRecord(landed);
       break;
     }
     case ScheduleView::ApplyResult::kDuplicate:
@@ -360,32 +375,32 @@ SimulatedDisk* Cub::LocalDisk(DiskId disk) const {
   return disks_[local];
 }
 
-void Cub::ProcessAcceptedRecord(const ViewerStateRecord::Key& key) {
-  ScheduleEntry* entry = view_.Find(key);
+void Cub::ProcessAcceptedRecord(EntryRef ref) {
+  ScheduleEntry* entry = view_.Get(ref);
   if (entry == nullptr) {
     return;
   }
-  const ViewerStateRecord record = entry->record();  // Copy: view may rehash below.
+  // A reference: nothing below moves the entry before its last use. Only a
+  // landing can grow the slab, and TakeoverRecord, which lands records, is
+  // the last step on its path.
+  const ViewerStateRecord& record = entry->record();
   DiskId serving = ServingDisk(record);
   if (IsMyDisk(serving) && !failure_view_.IsDiskFailed(serving)) {
     // This cub owns the record's forwarding duty.
-    NoteUnforwardedEntry(record);
-    ScheduleEntryWork(key);
+    NoteUnforwardedEntry(record, ref);
+    ScheduleEntryWork(ref, record.due);
     return;
   }
   if (failure_view_.IsDiskFailed(serving) && !record.is_mirror() &&
       failure_view_.FirstLivingSuccessor(config_->shape.CubOfDisk(serving)) == id_ &&
       config_->shape.CubOfDisk(serving) != id_) {
-    TakeoverRecord(key);
+    TakeoverRecord(ref);
     return;
   }
   entry->backup_only = true;
 }
 
-void Cub::ScheduleEntryWork(const ViewerStateRecord::Key& key) {
-  ScheduleEntry* entry = view_.Find(key);
-  TIGER_CHECK(entry != nullptr);
-  const TimePoint due = entry->record().due;
+void Cub::ScheduleEntryWork(EntryRef ref, TimePoint due) {
   Duration lead = config_->read_ahead;
   if (config_->read_ahead_jitter > Duration::Zero()) {
     lead = lead - rng_.UniformDuration(Duration::Zero(), config_->read_ahead_jitter);
@@ -394,13 +409,13 @@ void Cub::ScheduleEntryWork(const ViewerStateRecord::Key& key) {
   if (read_at < Now()) {
     read_at = Now();
   }
-  At(read_at, [this, key] { IssueRead(key); });
-  At(std::max(due, Now()), [this, key] { SendBlock(key); });
+  At(read_at, [this, ref] { IssueRead(ref); });
+  At(std::max(due, Now()), [this, ref] { SendBlock(ref); });
 }
 
-void Cub::IssueRead(const ViewerStateRecord::Key& key) {
+void Cub::IssueRead(EntryRef ref) {
   TIGER_PROF_SCOPE(kSlotService);
-  ScheduleEntry* entry = view_.Find(key);
+  ScheduleEntry* entry = view_.Get(ref);
   if (entry == nullptr || entry->read_issued) {
     return;  // Descheduled or already in flight.
   }
@@ -428,7 +443,7 @@ void Cub::IssueRead(const ViewerStateRecord::Key& key) {
   if (free_buffer_bytes_ < bytes) {
     counters_.buffer_stalls++;
     if (Now() + kBufferRetry < record.due) {
-      After(kBufferRetry, [this, key] { IssueRead(key); });
+      After(kBufferRetry, [this, ref] { IssueRead(ref); });
     }
     return;
   }
@@ -438,9 +453,9 @@ void Cub::IssueRead(const ViewerStateRecord::Key& key) {
   entry->read_issued = true;
   entry->buffer_held = true;
   const DiskZone zone = record.is_mirror() ? DiskZone::kInner : DiskZone::kOuter;
-  disk->SubmitRead(zone, bytes, [this, key, bytes, cache_key](bool ok) {
+  disk->SubmitRead(zone, bytes, [this, ref, bytes, cache_key](bool ok) {
     ChargeCpu(config_->cpu.per_disk_completion);
-    ScheduleEntry* e = view_.Find(key);
+    ScheduleEntry* e = view_.Get(ref);
     if (!ok) {
       // Transient media error: the buffer held nothing useful. Fall back to
       // the declustered mirror copy on other cubs' disks (§2.3) — the drive
@@ -450,7 +465,7 @@ void Cub::IssueRead(const ViewerStateRecord::Key& key) {
       if (e != nullptr) {
         e->buffer_held = false;
       }
-      RecoverBlockViaMirrors(key);
+      RecoverBlockViaMirrors(ref);
       return;
     }
     cache_.Insert(cache_key, bytes);
@@ -462,9 +477,9 @@ void Cub::IssueRead(const ViewerStateRecord::Key& key) {
   }, record.due);
 }
 
-void Cub::SendBlock(const ViewerStateRecord::Key& key) {
+void Cub::SendBlock(EntryRef ref) {
   TIGER_PROF_SCOPE(kSlotService);
-  ScheduleEntry* entry = view_.Find(key);
+  ScheduleEntry* entry = view_.Get(ref);
   if (entry == nullptr || entry->sent) {
     return;  // Descheduled: silently skip, this is not a missed block.
   }
@@ -593,8 +608,8 @@ std::optional<ViewerStateRecord> Cub::SuccessorRecord(const ViewerStateRecord& r
   return next;
 }
 
-void Cub::TakeoverRecord(const ViewerStateRecord::Key& key) {
-  ScheduleEntry* entry = view_.Find(key);
+void Cub::TakeoverRecord(EntryRef ref) {
+  ScheduleEntry* entry = view_.Get(ref);
   if (entry == nullptr || entry->takeover_processed) {
     return;
   }
@@ -602,7 +617,7 @@ void Cub::TakeoverRecord(const ViewerStateRecord::Key& key) {
   entry->backup_only = true;
   entry->forwarded = true;  // Mirror/successor generation replaces forwarding.
   counters_.takeovers++;
-  const ViewerStateRecord record = entry->record();
+  const ViewerStateRecord record = entry->record();  // Copy: apply_local lands entries.
   TIGER_DCHECK(!record.is_mirror());
   TIGER_TRACE_INSTANT(tracer_, trace_track_, TraceEventType::kTakeover,
                       TraceArgs{.viewer = record.viewer.value(),
@@ -610,11 +625,12 @@ void Cub::TakeoverRecord(const ViewerStateRecord::Key& key) {
                                 .a = record.position});
 
   auto apply_local = [this](const ViewerStateRecord& r) {
-    ScheduleView::ApplyResult result = view_.ApplyViewerState(r, Now());
+    EntryRef landed;
+    ScheduleView::ApplyResult result = view_.ApplyViewerState(r, Now(), &landed);
     if (result == ScheduleView::ApplyResult::kNew) {
       counters_.records_new++;
       NoteInstanceSeen(r.instance.value());
-      ProcessAcceptedRecord(r.DedupKey());
+      ProcessAcceptedRecord(landed);
       return true;
     }
     if (result == ScheduleView::ApplyResult::kDuplicate) {
@@ -697,8 +713,8 @@ void Cub::TakeoverRecord(const ViewerStateRecord::Key& key) {
   }
 }
 
-void Cub::RecoverBlockViaMirrors(const ViewerStateRecord::Key& key) {
-  ScheduleEntry* entry = view_.Find(key);
+void Cub::RecoverBlockViaMirrors(EntryRef ref) {
+  ScheduleEntry* entry = view_.Get(ref);
   if (entry == nullptr || entry->mirror_recovery) {
     return;
   }
@@ -803,12 +819,12 @@ std::optional<TimePoint> Cub::InstanceLastSeen(uint64_t instance) const {
   return it->second.stamp;
 }
 
-void Cub::NoteUnforwardedEntry(const ViewerStateRecord& record) {
+void Cub::NoteUnforwardedEntry(const ViewerStateRecord& record, EntryRef ref) {
   std::optional<ViewerStateRecord> next = SuccessorRecord(record);
   if (!next.has_value()) {
     return;  // Terminal records never trigger a flush.
   }
-  forward_queue_.push_back(ForwardItem{next->due, record.DedupKey()});
+  forward_queue_.push_back(ForwardItem{next->due, record.DedupKey(), ref});
   std::push_heap(forward_queue_.begin(), forward_queue_.end(), std::greater<>());
 }
 
@@ -826,12 +842,12 @@ void Cub::ForwardTick() {
   const Duration trigger_lead = config_->min_vstate_lead + ForwardSafety();
   auto pop = [this] {
     std::pop_heap(forward_queue_.begin(), forward_queue_.end(), std::greater<>());
-    const ViewerStateRecord::Key key = forward_queue_.back().key;
+    const EntryRef ref = forward_queue_.back().entry;
     forward_queue_.pop_back();
-    return key;
+    return ref;
   };
   while (!forward_queue_.empty() && forward_queue_.front().due - trigger_lead <= Now()) {
-    const ScheduleEntry* front = view_.Find(forward_queue_.front().key);
+    const ScheduleEntry* front = view_.Get(forward_queue_.front().entry);
     if (front == nullptr || front->forwarded || front->backup_only) {
       pop();
       continue;
@@ -839,7 +855,7 @@ void Cub::ForwardTick() {
     const TimePoint horizon = Now() + config_->max_vstate_lead;
     BatchMap batches;
     while (!forward_queue_.empty() && forward_queue_.front().due <= horizon) {
-      if (ScheduleEntry* entry = view_.Find(pop())) {
+      if (ScheduleEntry* entry = view_.Get(pop())) {
         MaybeForwardEntry(*entry, batches);
       }
     }
@@ -924,8 +940,8 @@ void Cub::SendBatchTo(NetAddress target, ViewerStateBatchMsg&& batch) {
   net_->Send(address_, target, bytes, std::move(msg));
 }
 
-void Cub::ForwardEntryNow(const ViewerStateRecord::Key& key) {
-  ScheduleEntry* entry = view_.Find(key);
+void Cub::ForwardEntryNow(EntryRef ref) {
+  ScheduleEntry* entry = view_.Get(ref);
   if (entry == nullptr) {
     return;
   }
@@ -1145,7 +1161,8 @@ void Cub::InsertViewer(DiskId disk, SlotId slot, TimePoint due, const StartPlayM
                              AuditObserver::CreateKind::kInsert, record, msg.lineage);
   }
 
-  ScheduleView::ApplyResult result = view_.ApplyViewerState(record, Now());
+  EntryRef landed;
+  ScheduleView::ApplyResult result = view_.ApplyViewerState(record, Now(), &landed);
   TIGER_CHECK(result == ScheduleView::ApplyResult::kNew)
       << "insertion into slot " << slot << " rejected: result " << static_cast<int>(result);
   counters_.inserts++;
@@ -1169,14 +1186,15 @@ void Cub::InsertViewer(DiskId disk, SlotId slot, TimePoint due, const StartPlayM
   net_->Send(address_, addresses_->controller, StartConfirmMsg::WireBytes(), std::move(confirm));
 
   (void)disk;
-  ProcessAcceptedRecord(record.DedupKey());
+  ProcessAcceptedRecord(landed);
   // Commit the insertion: the successor record must reach other machines now,
   // not at the next batching tick — the next owner of this slot needs it.
-  ForwardEntryNow(record.DedupKey());
+  ForwardEntryNow(landed);
 }
 
 void Cub::BootstrapRecord(const ViewerStateRecord& record) {
-  ScheduleView::ApplyResult result = view_.ApplyViewerState(record, Now());
+  EntryRef landed;
+  ScheduleView::ApplyResult result = view_.ApplyViewerState(record, Now(), &landed);
   TIGER_CHECK(result == ScheduleView::ApplyResult::kNew ||
               result == ScheduleView::ApplyResult::kDuplicate);
   if (auditor_ != nullptr) {
@@ -1187,7 +1205,7 @@ void Cub::BootstrapRecord(const ViewerStateRecord& record) {
   }
   if (result == ScheduleView::ApplyResult::kNew) {
     NoteInstanceSeen(record.instance.value());
-    ProcessAcceptedRecord(record.DedupKey());
+    ProcessAcceptedRecord(landed);
   }
 }
 
@@ -1358,7 +1376,7 @@ void Cub::HandleFailure(CubId failed_cub, DiskId failed_disk) {
         std::optional<ViewerStateRecord> next = SuccessorRecord(entry.record());
         if (next.has_value() && next->due + config_->block_play_time >= Now()) {
           entry.forwarded = false;
-          NoteUnforwardedEntry(entry.record());
+          NoteUnforwardedEntry(entry.record(), view_.RefOf(entry));
         }
       });
     }
@@ -1382,7 +1400,7 @@ void Cub::ScanForTakeovers() {
   // mirror chain for those blocks is lost (the detection window), but the
   // successor-record generation and end-of-play accounting must proceed.
   // TakeoverRecord itself skips the mirror chain for past-due blocks.
-  std::vector<ViewerStateRecord::Key> keys;
+  std::vector<EntryRef> refs;
   view_.ForEachEntry([&](ScheduleEntry& entry) {
     if (entry.record().is_mirror() || entry.takeover_processed) {
       return;
@@ -1391,11 +1409,11 @@ void Cub::ScanForTakeovers() {
     if (failure_view_.IsDiskFailed(serving) &&
         config_->shape.CubOfDisk(serving) != id_ &&
         failure_view_.FirstLivingSuccessor(config_->shape.CubOfDisk(serving)) == id_) {
-      keys.push_back(entry.record().DedupKey());
+      refs.push_back(view_.RefOf(entry));
     }
   });
-  for (const ViewerStateRecord::Key& key : keys) {
-    TakeoverRecord(key);
+  for (EntryRef ref : refs) {
+    TakeoverRecord(ref);
   }
 }
 

@@ -20,6 +20,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -186,16 +187,19 @@ class Cub : public Actor, public NetworkEndpoint {
   void OnRejoinReply(const RejoinReplyMsg& msg);
 
   // --- record processing ---
+  // Every per-entry step names its entry by ref: a step whose entry has left
+  // the view (descheduled or evicted) finds nothing and does nothing.
+  using EntryRef = ScheduleView::EntryRef;
   // Routes a freshly accepted record: serve it, take over mirroring, or hold
   // it as a fault-tolerance backup.
-  void ProcessAcceptedRecord(const ViewerStateRecord::Key& key);
-  void ScheduleEntryWork(const ViewerStateRecord::Key& key);
-  void IssueRead(const ViewerStateRecord::Key& key);
-  void SendBlock(const ViewerStateRecord::Key& key);
-  void TakeoverRecord(const ViewerStateRecord::Key& key);
+  void ProcessAcceptedRecord(EntryRef ref);
+  void ScheduleEntryWork(EntryRef ref, TimePoint due);
+  void IssueRead(EntryRef ref);
+  void SendBlock(EntryRef ref);
+  void TakeoverRecord(EntryRef ref);
   // After a transient read error on the primary disk, dispatch the block's
   // declustered mirror chain so the viewer is served from the secondaries.
-  void RecoverBlockViaMirrors(const ViewerStateRecord::Key& key);
+  void RecoverBlockViaMirrors(EntryRef ref);
   // Bytes of buffer a record's disk read occupies (allocated block size for
   // primaries, one fragment for mirrors).
   int64_t ReadBytesFor(const ViewerStateRecord& record) const;
@@ -214,10 +218,11 @@ class Cub : public Actor, public NetworkEndpoint {
                          std::equal_to<NetAddress>,
                          PoolAllocator<std::pair<const NetAddress, ViewerStateBatchMsg>>>;
   void ForwardTick();
-  // Files `record` in forward_queue_ under its successor's due time. Must be
-  // called whenever an entry this cub is responsible for forwarding enters
-  // the view (or is re-armed) unforwarded, or ForwardTick never sends it.
-  void NoteUnforwardedEntry(const ViewerStateRecord& record);
+  // Files the entry `ref` names in forward_queue_ under its successor's due
+  // time. Must be called whenever an entry this cub is responsible for
+  // forwarding enters the view (or is re-armed) unforwarded, or ForwardTick
+  // never sends it.
+  void NoteUnforwardedEntry(const ViewerStateRecord& record, EntryRef ref);
   // seen_instances_[instance] = Now(), reusing a stashed node if available,
   // and moves the instance to the newest end of the recency list.
   void NoteInstanceSeen(uint64_t instance);
@@ -226,7 +231,7 @@ class Cub : public Actor, public NetworkEndpoint {
   void MaybeForwardEntry(ScheduleEntry& entry, BatchMap& batches);
   void FlushBatches(BatchMap& batches);
   void SendBatchTo(NetAddress target, ViewerStateBatchMsg&& batch);
-  void ForwardEntryNow(const ViewerStateRecord::Key& key);
+  void ForwardEntryNow(EntryRef ref);
   // Sends a single synthesized record (takeover / mirror-recovery paths) as a
   // one-record batch, or applies it locally when target == this cub.
   void SendRecordTo(CubId target, const ViewerStateRecord& record);
@@ -330,12 +335,16 @@ class Cub : public Actor, public NetworkEndpoint {
   // entry that became pending (accepted here or re-armed after a failure).
   // The front holds the earliest flush trigger, so a forward tick touches
   // only the items it forwards or finds stale. An item is stale once its
-  // entry is gone, forwarded or backup-only; stale items are dropped as they
-  // surface. Heap order is the batch order on the wire.
+  // ref is stale or its entry is forwarded or backup-only; stale items are
+  // dropped as they surface. Heap order is the batch order on the wire.
   struct ForwardItem {
     TimePoint due;  // The successor record's due time.
     ViewerStateRecord::Key key;
-    auto operator<=>(const ForwardItem&) const = default;
+    EntryRef entry;  // Resolves the item; not part of the order.
+    // With std::greater, the heap's front is the earliest (due, key).
+    friend bool operator>(const ForwardItem& a, const ForwardItem& b) {
+      return std::tie(a.due, a.key) > std::tie(b.due, b.key);
+    }
   };
   std::vector<ForwardItem> forward_queue_;
   // Lamport clock over lineage-tagged control messages; survives Rejoin() via

@@ -9,11 +9,7 @@
 
 namespace tiger {
 
-ScheduleView::SlotBucket& ScheduleView::GetOrCreateBucket(SlotId slot) {
-  auto it = buckets_.find(slot);
-  if (it != buckets_.end()) {
-    return it->second;
-  }
+ScheduleView::SlotBucket& ScheduleView::CreateBucket(SlotId slot) {
   if (!free_nodes_.empty()) {
     BucketMap::node_type node = std::move(free_nodes_.back());
     free_nodes_.pop_back();
@@ -23,10 +19,40 @@ ScheduleView::SlotBucket& ScheduleView::GetOrCreateBucket(SlotId slot) {
   return buckets_[slot];
 }
 
+ScheduleView::EntryRef ScheduleView::Land(const ViewerStateRecord& record, TimePoint now) {
+  uint32_t index;
+  if (free_slots_.empty()) {
+    index = static_cast<uint32_t>(slab_.size());
+    slab_.emplace_back();
+    if (free_slots_.capacity() < slab_.capacity()) {
+      free_slots_.reserve(slab_.capacity());
+    }
+  } else {
+    index = free_slots_.back();
+    free_slots_.pop_back();
+    slab_[index] = ScheduleEntry();
+  }
+  ScheduleEntry& entry = slab_[index];
+  entry.record_ = record;
+  entry.received = now;
+  entry.generation_ = next_generation_;
+  if (++next_generation_ == 0) {
+    next_generation_ = 1;  // 0 marks a free slot.
+  }
+  ++live_entries_;
+  return EntryRef{index, entry.generation_};
+}
+
+void ScheduleView::Release(uint32_t index) {
+  slab_[index].generation_ = 0;
+  free_slots_.push_back(index);
+  --live_entries_;
+}
+
 ScheduleView::ApplyResult ScheduleView::ApplyViewerState(const ViewerStateRecord& record,
-                                                         TimePoint now) {
+                                                         TimePoint now, EntryRef* landed) {
   TIGER_PROF_SCOPE(kScheduleApply);
-  const ApplyResult result = ApplyViewerStateImpl(record, now);
+  const ApplyResult result = ApplyViewerStateImpl(record, now, landed);
   TIGER_TRACE_INSTANT(tracer_, trace_track_, TraceEventType::kVStateApply,
                       TraceArgs{.viewer = record.viewer.value(),
                                 .slot = record.slot.value(),
@@ -36,37 +62,54 @@ ScheduleView::ApplyResult ScheduleView::ApplyViewerState(const ViewerStateRecord
 }
 
 ScheduleView::ApplyResult ScheduleView::ApplyViewerStateImpl(const ViewerStateRecord& record,
-                                                             TimePoint now) {
+                                                             TimePoint now, EntryRef* landed) {
   if (record.due + late_horizon_ < now) {
     // So late that any deschedule for it would already have been discarded;
     // accepting it could resurrect a dead viewer. Drop it (§4.1.2).
     return ApplyResult::kTooLate;
   }
-  if (HoldsDescheduleFor(record, now)) {
-    return ApplyResult::kKilledByDeschedule;
-  }
-  SlotBucket& bucket = GetOrCreateBucket(record.slot);
-  for (const ScheduleEntry& entry : bucket.entries) {
-    if (entry.record().DedupKey() == record.DedupKey()) {
-      return ApplyResult::kDuplicate;
+  // One lookup: the holds, the dedup scan and the conflict scan all read the
+  // bucket it finds, and a bucket is created only when the slot has none.
+  auto it = buckets_.find(record.slot);
+  SlotBucket* bucket = nullptr;
+  if (it != buckets_.end()) {
+    bucket = &it->second;
+    for (const Hold& hold : bucket->holds) {
+      if (hold.hold_until >= now && hold.deschedule.viewer == record.viewer &&
+          hold.deschedule.instance == record.instance && hold.deschedule.slot == record.slot) {
+        return ApplyResult::kKilledByDeschedule;
+      }
     }
-  }
-  // Two different viewers (or two instances) must never be scheduled into the
-  // same slot for the same service time.
-  for (const ScheduleEntry& entry : bucket.entries) {
-    if (!entry.record().is_mirror() && !record.is_mirror() && entry.record().due == record.due &&
-        (entry.record().viewer != record.viewer || entry.record().instance != record.instance)) {
-      return ApplyResult::kConflict;
+    // The slot is the bucket's, so the rest of the DedupKey decides.
+    for (const BucketItem& item : bucket->entries) {
+      if (item.instance == record.instance.value() && item.sequence == record.sequence &&
+          item.mirror_fragment == record.mirror_fragment) {
+        return ApplyResult::kDuplicate;
+      }
     }
+    // Two different viewers (or two instances) must never be scheduled into
+    // the same slot for the same service time.
+    if (!record.is_mirror()) {
+      for (const BucketItem& item : bucket->entries) {
+        if (!item.is_mirror() && item.due == record.due &&
+            (item.instance != record.instance.value() ||
+             slab_[item.index].record().viewer != record.viewer)) {
+          return ApplyResult::kConflict;
+        }
+      }
+    }
+  } else {
+    bucket = &CreateBucket(record.slot);
   }
-  ScheduleEntry entry;
-  entry.record_ = record;
-  entry.received = now;
-  bucket.entries.push_back(entry);
-  ++live_entries_;
-  File(entry_expiry_, bucket.entry_filed, record.due, record.slot);
+  const EntryRef ref = Land(record, now);
+  bucket->entries.push_back(BucketItem{record.instance.value(), record.sequence, record.due,
+                                       record.mirror_fragment, ref.index});
+  File(entry_expiry_, bucket->entry_filed, record.due, record.slot);
   if (log_landings_) {
-    landings_.push_back(record.DedupKey());
+    landings_.push_back(ref);
+  }
+  if (landed != nullptr) {
+    *landed = ref;
   }
   return ApplyResult::kNew;
 }
@@ -75,7 +118,8 @@ ScheduleView::DescheduleOutcome ScheduleView::ApplyDeschedule(const DescheduleRe
                                                               TimePoint now,
                                                               TimePoint hold_until) {
   TIGER_PROF_SCOPE(kDeschedule);
-  SlotBucket& bucket = GetOrCreateBucket(deschedule.slot);
+  auto it = buckets_.find(deschedule.slot);
+  SlotBucket& bucket = it != buckets_.end() ? it->second : CreateBucket(deschedule.slot);
   DescheduleOutcome outcome;
   auto matches = [&](const ScheduleEntry& entry) {
     return entry.record().viewer == deschedule.viewer &&
@@ -88,17 +132,15 @@ ScheduleView::DescheduleOutcome ScheduleView::ApplyDeschedule(const DescheduleRe
   // their relative order.
   size_t keep = 0;
   for (size_t i = 0; i < bucket.entries.size(); ++i) {
-    if (matches(bucket.entries[i])) {
-      outcome.removed.push_back(std::move(bucket.entries[i]));
+    const BucketItem item = bucket.entries[i];
+    if (item.instance == deschedule.instance.value() && matches(slab_[item.index])) {
+      outcome.removed.push_back(slab_[item.index]);
+      Release(item.index);
     } else {
-      if (keep != i) {
-        bucket.entries[keep] = std::move(bucket.entries[i]);
-      }
-      ++keep;
+      bucket.entries[keep++] = item;
     }
   }
   bucket.entries.resize(keep);
-  live_entries_ -= outcome.removed.size();
 
   // Record (or refresh) the hold. Duplicate deschedules are idempotent.
   bool found = false;
@@ -126,27 +168,13 @@ ScheduleView::DescheduleOutcome ScheduleView::ApplyDeschedule(const DescheduleRe
   return outcome;
 }
 
-bool ScheduleView::HoldsDescheduleFor(const ViewerStateRecord& record, TimePoint now) const {
-  auto it = buckets_.find(record.slot);
-  if (it == buckets_.end()) {
-    return false;
-  }
-  for (const Hold& hold : it->second.holds) {
-    if (hold.hold_until >= now && hold.deschedule.viewer == record.viewer &&
-        hold.deschedule.instance == record.instance && hold.deschedule.slot == record.slot) {
-      return true;
-    }
-  }
-  return false;
-}
-
 bool ScheduleView::SlotOccupiedAt(SlotId slot, TimePoint due) const {
   auto it = buckets_.find(slot);
   if (it == buckets_.end()) {
     return false;
   }
-  for (const ScheduleEntry& entry : it->second.entries) {
-    if (!entry.record().is_mirror() && entry.record().due == due) {
+  for (const BucketItem& item : it->second.entries) {
+    if (!item.is_mirror() && item.due == due) {
       return true;
     }
   }
@@ -158,30 +186,13 @@ bool ScheduleView::SlotBusyNear(SlotId slot, TimePoint due, Duration epsilon) co
   if (it == buckets_.end()) {
     return false;
   }
-  for (const ScheduleEntry& entry : it->second.entries) {
-    Duration gap = entry.record().due > due ? entry.record().due - due : due - entry.record().due;
+  for (const BucketItem& item : it->second.entries) {
+    Duration gap = item.due > due ? item.due - due : due - item.due;
     if (gap < epsilon) {
       return true;
     }
   }
   return false;
-}
-
-ScheduleEntry* ScheduleView::Find(const ViewerStateRecord::Key& key) {
-  return const_cast<ScheduleEntry*>(std::as_const(*this).Find(key));
-}
-
-const ScheduleEntry* ScheduleView::Find(const ViewerStateRecord::Key& key) const {
-  auto it = buckets_.find(SlotId(key.slot));
-  if (it == buckets_.end()) {
-    return nullptr;
-  }
-  for (const ScheduleEntry& entry : it->second.entries) {
-    if (entry.record().DedupKey() == key) {
-      return &entry;
-    }
-  }
-  return nullptr;
 }
 
 void ScheduleView::File(ExpiryHeap& heap, TimePoint& filed, TimePoint when, SlotId slot) {
@@ -223,13 +234,16 @@ int ScheduleView::EvictDue(ExpiryHeap& heap, TimePoint SlotBucket::*filed, TimeP
 
 int ScheduleView::EvictBucket(BucketMap::iterator it, TimePoint entry_horizon, TimePoint now) {
   SlotBucket& bucket = it->second;
-  auto entry_end = std::remove_if(bucket.entries.begin(), bucket.entries.end(),
-                                  [&](const ScheduleEntry& e) {
-                                    return e.record().due < entry_horizon;
-                                  });
-  const int evicted = static_cast<int>(bucket.entries.end() - entry_end);
-  live_entries_ -= static_cast<size_t>(evicted);
-  bucket.entries.erase(entry_end, bucket.entries.end());
+  size_t keep = 0;
+  for (const BucketItem& item : bucket.entries) {
+    if (item.due < entry_horizon) {
+      Release(item.index);
+    } else {
+      bucket.entries[keep++] = item;
+    }
+  }
+  const int evicted = static_cast<int>(bucket.entries.size() - keep);
+  bucket.entries.resize(keep);
   auto hold_end = std::remove_if(bucket.holds.begin(), bucket.holds.end(),
                                  [&](const Hold& h) { return h.hold_until < now; });
   live_holds_ -= static_cast<size_t>(bucket.holds.end() - hold_end);
@@ -258,8 +272,8 @@ int ScheduleView::EvictBucket(BucketMap::iterator it, TimePoint entry_horizon, T
   // puts an item back in front of the drain that popped this one. A kind with
   // nothing left stays at Max, which File leaves unfiled.
   TimePoint earliest_due = TimePoint::Max();
-  for (const ScheduleEntry& entry : bucket.entries) {
-    earliest_due = std::min(earliest_due, entry.record().due);
+  for (const BucketItem& item : bucket.entries) {
+    earliest_due = std::min(earliest_due, item.due);
   }
   File(entry_expiry_, bucket.entry_filed, earliest_due, it->first);
   TimePoint earliest_hold = TimePoint::Max();

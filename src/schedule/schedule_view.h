@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/common/ids.h"
 #include "src/common/time.h"
 #include "src/net/payload_pool.h"
@@ -44,12 +45,16 @@ struct ScheduleEntry {
  private:
   friend class ScheduleView;
   ViewerStateRecord record_;  // First: the layout is the record, then bookkeeping.
+  // The landing this slab slot holds (see ScheduleView::EntryRef); 0 while
+  // the slot is free.
+  uint32_t generation_ = 0;
 
  public:
-  TimePoint received;
-  // --- cub-managed state ---
+  // --- cub-managed state --- (the first two flags share the generation's
+  // word, which keeps the entry at 128 bytes)
   bool read_issued = false;
   bool block_ready = false;
+  TimePoint received;  // Set by the view when the entry lands.
   // When servicing began (first read attempt); anchors the slot-service span.
   TimePoint service_start = TimePoint::Max();
   // A block buffer is charged to this entry (false for cache hits).
@@ -72,11 +77,25 @@ static_assert(!std::is_assignable_v<decltype(std::declval<ScheduleEntry&>().reco
 
 class ScheduleView {
  public:
-  // Entry storage draws from the thread-local payload pool: slot insert /
-  // deschedule / evict churn recycles buffers and hash nodes instead of
-  // hitting the heap per event (the protocol layer's last allocator — see
-  // ROADMAP item 1). Zero steady-state operator-new calls once warm.
+  // Bucket lists, holds and deschedule outcomes draw from the thread-local
+  // payload pool, and entries live in a reserved slab: slot insert /
+  // deschedule / evict churn recycles buffers, hash nodes and slab slots
+  // instead of hitting the heap per event (the protocol layer's last
+  // allocator — see ROADMAP item 1). Zero steady-state operator-new calls
+  // once warm.
   using EntryVec = std::vector<ScheduleEntry, PoolAllocator<ScheduleEntry>>;
+
+  // Names one landed entry: its slab index and the generation it landed
+  // with. Get() resolves it in O(1) and returns nullptr once the entry has
+  // been descheduled or evicted, even after a later entry reuses the index.
+  // Generations come from one 32-bit counter per view, which a rebuild
+  // continues from the old view's next_generation(), so none is reissued
+  // before the counter wraps.
+  struct EntryRef {
+    uint32_t index = UINT32_MAX;
+    uint32_t generation = 0;
+    bool operator==(const EntryRef&) const = default;
+  };
 
   enum class ApplyResult {
     kNew,                 // Accepted; a new entry was created.
@@ -92,12 +111,20 @@ class ScheduleView {
   // free_nodes_) so the eviction/creation cycle never waits for the stash to
   // reach its working level; nodes are minted one at a time through the map,
   // which keeps its bucket-array growth — and thus iteration order — on the
-  // same trajectory as an unreserved view.
-  explicit ScheduleView(Duration late_horizon, size_t reserve_buckets = 0)
+  // same trajectory as an unreserved view. `reserve_entries` sizes the entry
+  // slab. `first_generation` is where this view's generations start; a view
+  // that replaces another passes the old one's next_generation(), so no ref
+  // into the old view ever resolves in the new one.
+  explicit ScheduleView(Duration late_horizon, size_t reserve_buckets = 0,
+                        size_t reserve_entries = 0, uint32_t first_generation = 1)
       : late_horizon_(late_horizon),
-        stash_limit_(reserve_buckets == 0 ? SIZE_MAX : reserve_buckets) {
+        stash_limit_(reserve_buckets == 0 ? SIZE_MAX : reserve_buckets),
+        next_generation_(first_generation) {
+    TIGER_DCHECK(first_generation != 0);  // 0 marks a free slab slot.
     free_nodes_.reserve(reserve_buckets);
     entry_expiry_.reserve(reserve_buckets);
+    slab_.reserve(reserve_entries);
+    free_slots_.reserve(reserve_entries);
     while (free_nodes_.size() < reserve_buckets) {
       const SlotId dummy(UINT32_MAX - static_cast<uint32_t>(free_nodes_.size()));
       SlotBucket& bucket = buckets_[dummy];
@@ -120,7 +147,9 @@ class ScheduleView {
     trace_track_ = track;
   }
 
-  ApplyResult ApplyViewerState(const ViewerStateRecord& record, TimePoint now);
+  // On kNew, `*landed` (if given) names the entry just created.
+  ApplyResult ApplyViewerState(const ViewerStateRecord& record, TimePoint now,
+                               EntryRef* landed = nullptr);
 
   // Removes all entries matching (viewer, instance, slot) and records a hold.
   // Returns the removed entries (so the caller can cancel their work) and
@@ -133,8 +162,6 @@ class ScheduleView {
   DescheduleOutcome ApplyDeschedule(const DescheduleRecord& deschedule, TimePoint now,
                                     TimePoint hold_until);
 
-  bool HoldsDescheduleFor(const ViewerStateRecord& record, TimePoint now) const;
-
   // Is there a non-mirror entry for `slot` due at exactly `due`? Used by the
   // insertion logic: due times are exact shared arithmetic, so the occupying
   // viewer's record (if it has arrived) matches precisely.
@@ -143,12 +170,28 @@ class ScheduleView {
   // Any entry (including mirrors) for this slot with due in (due-eps, due+eps)?
   bool SlotBusyNear(SlotId slot, TimePoint due, Duration epsilon) const;
 
-  // Entry lookup by dedup key; nullptr if absent.
-  ScheduleEntry* Find(const ViewerStateRecord::Key& key);
-  const ScheduleEntry* Find(const ViewerStateRecord::Key& key) const;
+  // The entry `ref` names; nullptr once it has left the view.
+  ScheduleEntry* Get(EntryRef ref) {
+    return const_cast<ScheduleEntry*>(std::as_const(*this).Get(ref));
+  }
+  const ScheduleEntry* Get(EntryRef ref) const {
+    if (ref.index >= slab_.size()) {
+      return nullptr;
+    }
+    const ScheduleEntry& entry = slab_[ref.index];
+    return entry.generation_ == ref.generation ? &entry : nullptr;
+  }
+  // The ref of a live entry of this view (one ForEachEntry or Get handed out).
+  EntryRef RefOf(const ScheduleEntry& entry) const {
+    const auto index = static_cast<uint32_t>(&entry - slab_.data());
+    TIGER_DCHECK(index < slab_.size() && entry.generation_ != 0);
+    return EntryRef{index, entry.generation_};
+  }
+  // The generation the next landing gets; a rebuilt view starts here.
+  uint32_t next_generation() const { return next_generation_; }
 
   // Landing log for the schedule auditor. Once enabled, every entry that
-  // lands appends its DedupKey, so the auditor's view diff visits only what
+  // lands appends its ref, so the auditor's view diff visits only what
   // arrived since its previous check. Off unless an audit observer has been
   // attached; an un-audited view does no extra work.
   void EnableLandingLog() { log_landings_ = true; }
@@ -159,8 +202,8 @@ class ScheduleView {
   // auditor drains at engine barriers).
   template <typename Fn>
   void DrainLandings(Fn&& fn) const {
-    for (const ViewerStateRecord::Key& key : landings_) {
-      if (const ScheduleEntry* entry = Find(key)) {
+    for (EntryRef ref : landings_) {
+      if (const ScheduleEntry* entry = Get(ref)) {
         fn(*entry);
       }
     }
@@ -168,12 +211,13 @@ class ScheduleView {
   }
   void ClearLandings() const { landings_.clear(); }
 
-  // All live entries (cub iterates to drive reads/sends/forwards).
+  // All live entries (cub iterates to drive reads/sends/forwards), bucket by
+  // bucket in map order and in landing order within a bucket.
   template <typename Fn>
   void ForEachEntry(Fn&& fn) {
     for (auto& [slot, bucket] : buckets_) {
-      for (ScheduleEntry& entry : bucket.entries) {
-        fn(entry);
+      for (const BucketItem& item : bucket.entries) {
+        fn(slab_[item.index]);
       }
     }
   }
@@ -181,8 +225,8 @@ class ScheduleView {
   template <typename Fn>
   void ForEachEntry(Fn&& fn) const {
     for (const auto& [slot, bucket] : buckets_) {
-      for (const ScheduleEntry& entry : bucket.entries) {
-        fn(entry);
+      for (const BucketItem& item : bucket.entries) {
+        fn(std::as_const(slab_[item.index]));
       }
     }
   }
@@ -199,14 +243,32 @@ class ScheduleView {
   // bucket map.
   size_t entry_count() const { return live_entries_; }
   size_t hold_count() const { return live_holds_; }
+  // Slab slots ever used: the view's peak entry count. The slab grows only
+  // when a landing finds it full.
+  size_t slab_size() const { return slab_.size(); }
+  size_t slab_capacity() const { return slab_.capacity(); }
 
  private:
   struct Hold {
     DescheduleRecord deschedule;
     TimePoint hold_until;
   };
+  // A bucket's handle on one of its entries: the slab index, and a copy of
+  // the record fields the bucket scans compare (the slot is the bucket's),
+  // so the dedup, conflict, occupancy and eviction scans read only the
+  // bucket. Landed records are read-only, so the copy never goes stale.
+  struct BucketItem {
+    uint64_t instance;
+    int64_t sequence;
+    TimePoint due;
+    int32_t mirror_fragment;
+    uint32_t index;
+
+    bool is_mirror() const { return mirror_fragment >= 0; }
+  };
   struct SlotBucket {
-    EntryVec entries;
+    // The bucket's entries, in landing order.
+    std::vector<BucketItem, PoolAllocator<BucketItem>> entries;
     std::vector<Hold, PoolAllocator<Hold>> holds;
     // Times this bucket is filed under in entry_expiry_ / hold_expiry_, or
     // Max when it has no live item there. The fields ride in the map node's
@@ -233,7 +295,13 @@ class ScheduleView {
   };
   using ExpiryHeap = std::vector<Expiry>;
 
-  ApplyResult ApplyViewerStateImpl(const ViewerStateRecord& record, TimePoint now);
+  ApplyResult ApplyViewerStateImpl(const ViewerStateRecord& record, TimePoint now,
+                                   EntryRef* landed);
+
+  // Stores a new entry for `record` in a free slab slot and returns its ref.
+  EntryRef Land(const ViewerStateRecord& record, TimePoint now);
+  // Frees `index`'s slab slot; refs to it go stale.
+  void Release(uint32_t index);
 
   // Files `slot` under `when` unless its live item is already no later.
   static void File(ExpiryHeap& heap, TimePoint& filed, TimePoint when, SlotId slot);
@@ -245,10 +313,11 @@ class ScheduleView {
   // nothing is left, releases it; returns the number of entries evicted.
   int EvictBucket(BucketMap::iterator it, TimePoint entry_horizon, TimePoint now);
 
-  // Reuses a retained node from free_nodes_ when the slot is absent, so the
-  // steady-state erase/create bucket churn (slot ownership rotates around the
-  // ring) never round-trips through the allocator.
-  SlotBucket& GetOrCreateBucket(SlotId slot);
+  // Adds a bucket for `slot`, which must be absent. Reuses a retained node
+  // from free_nodes_, so the steady-state erase/create bucket churn (slot
+  // ownership rotates around the ring) never round-trips through the
+  // allocator.
+  SlotBucket& CreateBucket(SlotId slot);
 
   Duration late_horizon_;
   BucketMap buckets_;
@@ -264,6 +333,12 @@ class ScheduleView {
   // instead, returning their blocks to the pool.
   std::vector<BucketMap::node_type> free_nodes_;
   size_t stash_limit_;
+  // Entry slab: every live entry sits at a stable index until it leaves.
+  // Free slots are reused last-freed first; free_slots_ keeps capacity for
+  // every slot, so releasing never allocates.
+  std::vector<ScheduleEntry> slab_;
+  std::vector<uint32_t> free_slots_;
+  uint32_t next_generation_;
   // Reserved to the bucket reserve, which holds one live item per bucket of
   // the view's working set.
   ExpiryHeap entry_expiry_;
@@ -273,7 +348,7 @@ class ScheduleView {
   Tracer* tracer_ = nullptr;
   TraceTrackId trace_track_ = 0;
   bool log_landings_ = false;
-  mutable std::vector<ViewerStateRecord::Key, PoolAllocator<ViewerStateRecord::Key>> landings_;
+  mutable std::vector<EntryRef, PoolAllocator<EntryRef>> landings_;
 };
 
 }  // namespace tiger

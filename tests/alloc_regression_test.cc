@@ -9,8 +9,10 @@
 // in-protocol audit/lineage hooks, and the deschedule path — performs zero
 // heap allocations per event.
 //
-// Every test skips when the build lacks -DTIGER_COUNT_ALLOCS (the counting
-// operator-new replacements); CI's sanitizer job builds with it on.
+// Every allocation-counting test skips when the build lacks
+// -DTIGER_COUNT_ALLOCS (the counting operator-new replacements); CI's
+// sanitizer job builds with it on. The entry-slab test counts nothing and
+// runs in every build.
 
 #include <gtest/gtest.h>
 
@@ -39,6 +41,8 @@ struct Ring {
   std::unique_ptr<TigerSystem> system;
   SinkEndpoint sink;
   int streams = 0;
+  // Each cub's entry-slab capacity as built, before any record landed.
+  std::vector<size_t> reserved_slab;
 
   explicit Ring(uint64_t seed) {
     TigerConfig config;
@@ -47,6 +51,9 @@ struct Ring {
     // schedule-management path under test.
     config.simulate_data_plane = false;
     system = std::make_unique<TigerSystem>(config, seed);
+    for (int c = 0; c < kCubs; ++c) {
+      reserved_slab.push_back(system->cub(CubId(static_cast<uint32_t>(c))).view().slab_capacity());
+    }
     NetAddress sink_addr = system->net().Attach(&sink, "sink", config.client_nic_bps);
     streams = static_cast<int>(static_cast<double>(config.MaxStreams()) * 0.9);
     // Long enough that no stream hits end-of-file inside the horizon (EOF
@@ -92,6 +99,23 @@ TEST(AllocRegressionTest, WarmRingRunsAllocationFree) {
   }
   EXPECT_EQ(min_allocs, 0u) << "protocol hot path allocated " << min_allocs << " times across "
                             << events << " events; the steady-state contract is zero";
+}
+
+// The view's entry slab is reserved for its working set (Cub's
+// ViewEntryReserve), so neither warmup nor the measured windows grow it: a
+// growth would copy every entry and, in an allocation-counted build, show up
+// as a window's allocation.
+TEST(AllocRegressionTest, WarmRingNeverGrowsTheEntrySlab) {
+  Ring ring(1);
+  for (int w = 0; w < kWindows; ++w) {
+    ring.system->RunFor(kWindow);
+  }
+  for (int c = 0; c < kCubs; ++c) {
+    const ScheduleView& view = ring.system->cub(CubId(static_cast<uint32_t>(c))).view();
+    EXPECT_GT(view.slab_size(), 0u) << "cub " << c;
+    EXPECT_EQ(view.slab_capacity(), ring.reserved_slab[c])
+        << "cub " << c << " grew its slab to " << view.slab_size() << " entries";
+  }
 }
 
 // The deschedule path is transient by nature: a kill parks a hold-bucket on

@@ -292,7 +292,7 @@ class BatchOrderSpy : public NetworkEndpoint {
 
 // An entry `cub` still has to forward, and its successor's due time.
 struct PendingForward {
-  ViewerStateRecord::Key key;
+  ScheduleView::EntryRef ref;
   TimePoint next_due;
 };
 
@@ -303,7 +303,7 @@ std::vector<PendingForward> PendingForwards(const Cub& cub) {
       return;
     }
     if (std::optional<ViewerStateRecord> next = cub.SuccessorRecord(entry.record())) {
-      pending.push_back(PendingForward{entry.record().DedupKey(), next->due});
+      pending.push_back(PendingForward{cub.view().RefOf(entry), next->due});
     }
   });
   return pending;
@@ -394,7 +394,7 @@ TEST(CubProtocolTest, ForwardQueueFlushesWhenTheWalkWould) {
           continue;
         }
         for (const PendingForward& p : before[c]) {
-          const ScheduleEntry* entry = cub.view().Find(p.key);
+          const ScheduleEntry* entry = cub.view().Get(p.ref);
           if (entry == nullptr || entry->backup_only) {
             continue;  // Descheduled, evicted or taken over.
           }

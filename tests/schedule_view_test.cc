@@ -161,15 +161,94 @@ TEST_F(ScheduleViewTest, EvictionDropsPastEntriesAndExpiredHolds) {
   EXPECT_EQ(view_.hold_count(), 0u);
 }
 
-TEST_F(ScheduleViewTest, FindByKey) {
+TEST_F(ScheduleViewTest, RefResolvesTheLandedEntry) {
   ViewerStateRecord record = MakeRecord(1, 100, 5, 7, 15000000);
-  view_.ApplyViewerState(record, now_);
-  ScheduleEntry* entry = view_.Find(record.DedupKey());
+  ScheduleView::EntryRef ref;
+  ASSERT_EQ(view_.ApplyViewerState(record, now_, &ref), ScheduleView::ApplyResult::kNew);
+  const ScheduleEntry* entry = view_.Get(ref);
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->record().sequence, 7);
-  ViewerStateRecord other = record;
-  other.sequence = 8;
-  EXPECT_EQ(view_.Find(other.DedupKey()), nullptr);
+  EXPECT_EQ(view_.RefOf(*entry), ref);
+  // A duplicate lands nothing and leaves the out-parameter alone.
+  ScheduleView::EntryRef untouched;
+  EXPECT_EQ(view_.ApplyViewerState(record, now_, &untouched),
+            ScheduleView::ApplyResult::kDuplicate);
+  EXPECT_EQ(untouched, ScheduleView::EntryRef{});
+  EXPECT_EQ(view_.Get(ScheduleView::EntryRef{}), nullptr);
+}
+
+TEST_F(ScheduleViewTest, RefGoesStaleOnDeschedule) {
+  ScheduleView::EntryRef ref;
+  view_.ApplyViewerState(MakeRecord(1, 100, 5, 0, 15000000), now_, &ref);
+  DescheduleRecord kill{ViewerId(1), PlayInstanceId(100), SlotId(5)};
+  ASSERT_EQ(view_.ApplyDeschedule(kill, now_, now_ + Duration::Seconds(9)).removed.size(), 1u);
+  EXPECT_EQ(view_.Get(ref), nullptr);
+}
+
+TEST_F(ScheduleViewTest, RefGoesStaleOnEviction) {
+  ScheduleView::EntryRef gone;
+  ScheduleView::EntryRef kept;
+  view_.ApplyViewerState(MakeRecord(1, 100, 5, 0, 11000000), now_, &gone);
+  view_.ApplyViewerState(MakeRecord(2, 200, 6, 0, 30000000), now_, &kept);
+  ASSERT_EQ(view_.EvictBefore(TimePoint::FromMicros(12000000), now_ + Duration::Seconds(5)), 1);
+  EXPECT_EQ(view_.Get(gone), nullptr);
+  ASSERT_NE(view_.Get(kept), nullptr);
+  EXPECT_EQ(view_.Get(kept)->record().viewer, ViewerId(2));
+}
+
+TEST_F(ScheduleViewTest, RefGoesStaleWhenItsSlotIsReused) {
+  ScheduleView::EntryRef old_ref;
+  view_.ApplyViewerState(MakeRecord(1, 100, 5, 0, 15000000), now_, &old_ref);
+  DescheduleRecord kill{ViewerId(1), PlayInstanceId(100), SlotId(5)};
+  view_.ApplyDeschedule(kill, now_, now_ + Duration::Seconds(9));
+  // The next landing reuses the freed slab slot under a new generation.
+  ScheduleView::EntryRef new_ref;
+  view_.ApplyViewerState(MakeRecord(2, 200, 6, 0, 15100000), now_, &new_ref);
+  ASSERT_EQ(new_ref.index, old_ref.index);
+  EXPECT_NE(new_ref.generation, old_ref.generation);
+  EXPECT_EQ(view_.Get(old_ref), nullptr);
+  ASSERT_NE(view_.Get(new_ref), nullptr);
+  EXPECT_EQ(view_.Get(new_ref)->record().viewer, ViewerId(2));
+}
+
+TEST_F(ScheduleViewTest, RefDoesNotAliasAcrossARebuild) {
+  // A cub rebuilds its view on rejoin. A ref from before the rebuild must
+  // not name whatever the rebuilt view lands at the same slab index.
+  ScheduleView::EntryRef old_ref;
+  view_.ApplyViewerState(MakeRecord(1, 100, 5, 0, 15000000), now_, &old_ref);
+  const ViewerStateRecord next = MakeRecord(2, 200, 6, 0, 15100000);
+
+  // What carrying the generation base prevents: a view that starts over at
+  // generation 1 hands the same ref to the new entry.
+  ScheduleView restarted(Duration::Seconds(3));
+  ScheduleView::EntryRef restarted_ref;
+  restarted.ApplyViewerState(next, now_, &restarted_ref);
+  ASSERT_EQ(restarted_ref, old_ref);
+  EXPECT_NE(restarted.Get(old_ref), nullptr);
+
+  view_ = ScheduleView(Duration::Seconds(3), 0, 0, view_.next_generation());
+  ScheduleView::EntryRef new_ref;
+  view_.ApplyViewerState(next, now_, &new_ref);
+  ASSERT_EQ(new_ref.index, old_ref.index);
+  EXPECT_EQ(view_.Get(old_ref), nullptr);
+  ASSERT_NE(view_.Get(new_ref), nullptr);
+  EXPECT_EQ(view_.Get(new_ref)->record().viewer, ViewerId(2));
+}
+
+TEST_F(ScheduleViewTest, SlabReservedForEntriesDoesNotGrow) {
+  ScheduleView view(Duration::Seconds(3), 4, 8);
+  const size_t capacity = view.slab_capacity();
+  ASSERT_GE(capacity, 8u);
+  // Churn far more landings through the view than its reserve, never more
+  // than eight live at once: freed slots are reused, so the slab stays put.
+  for (int64_t i = 0; i < 200; ++i) {
+    const TimePoint now = TimePoint::FromMicros(i * 1000000);
+    view.EvictBefore(now - Duration::Seconds(7), now);
+    view.ApplyViewerState(MakeRecord(1, 100, static_cast<uint32_t>(i % 4), i, now.micros()), now);
+    ASSERT_LE(view.entry_count(), 8u);
+  }
+  EXPECT_EQ(view.slab_size(), 8u);
+  EXPECT_EQ(view.slab_capacity(), capacity);
 }
 
 // The view's semantics with the eviction it had before the expiry index:
@@ -304,6 +383,8 @@ void RunIndexedEvictionAgainstReference(uint64_t seed, size_t reserve) {
     instance[v] = 1000 + v;
   }
   std::vector<int64_t> sequence(kViewers, 0);
+  // Every ref the view handed out, with the key it landed under.
+  std::vector<std::pair<ViewerStateRecord::Key, ScheduleView::EntryRef>> landed;
   TimePoint now = TimePoint::FromMicros(20'000'000);
   for (int tick = 0; tick < 120; ++tick) {
     const int ops = static_cast<int>(rng.UniformInt(0, 60));
@@ -328,8 +409,12 @@ void RunIndexedEvictionAgainstReference(uint64_t seed, size_t reserve) {
         record.due = rng.Bernoulli(0.2)
                          ? TimePoint::FromMicros(now.micros() / 1'000'000 * 1'000'000)
                          : now + Duration::Micros(rng.UniformInt(-4'000'000, 9'000'000));
-        ASSERT_EQ(view.ApplyViewerState(record, now), reference.Apply(record, now))
-            << "tick " << tick << " op " << op;
+        ScheduleView::EntryRef ref;
+        const ScheduleView::ApplyResult result = view.ApplyViewerState(record, now, &ref);
+        ASSERT_EQ(result, reference.Apply(record, now)) << "tick " << tick << " op " << op;
+        if (result == ScheduleView::ApplyResult::kNew) {
+          landed.emplace_back(record.DedupKey(), ref);
+        }
         continue;
       }
       DescheduleRecord kill{ViewerId(static_cast<uint32_t>(v)), PlayInstanceId(instance[v]),
@@ -366,6 +451,19 @@ void RunIndexedEvictionAgainstReference(uint64_t seed, size_t reserve) {
     ASSERT_EQ(view.entry_count(), reference.entry_count()) << "tick " << tick;
     ASSERT_EQ(view.hold_count(), reference.hold_count()) << "tick " << tick;
     ASSERT_EQ(EntryKeys(view), reference.Entries()) << "tick " << tick;
+    // Exactly one ref per live entry resolves, to that entry; every ref to
+    // an entry that has left, even one whose slot was reused, resolves to
+    // nothing.
+    const std::vector<ViewerStateRecord::Key> live = reference.Entries();
+    size_t resolved = 0;
+    for (const auto& [key, ref] : landed) {
+      if (const ScheduleEntry* entry = view.Get(ref)) {
+        ++resolved;
+        ASSERT_EQ(entry->record().DedupKey(), key) << "tick " << tick;
+        ASSERT_NE(std::find(live.begin(), live.end(), key), live.end()) << "tick " << tick;
+      }
+    }
+    ASSERT_EQ(resolved, view.entry_count()) << "tick " << tick;
   }
   // Long after the last apply, everything has aged out.
   now += Duration::Seconds(30);
