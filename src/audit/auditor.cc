@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <tuple>
 #include <utility>
 
 #include "src/common/check.h"
@@ -22,6 +23,20 @@ void Appendf(std::string* out, const char* fmt, Args... args) {
   const int n = std::snprintf(buf, sizeof(buf), fmt, args...);
   TIGER_DCHECK(n >= 0 && static_cast<size_t>(n) < sizeof(buf));
   out->append(buf, static_cast<size_t>(n));
+}
+
+// Inserts `item` into a deque kept sorted by `field`: at the back (the
+// time-ordered case), or in place after every item not later than it.
+template <typename Item>
+void InsertByTime(std::deque<Item, PoolAllocator<Item>>* fifo, const Item& item,
+                  TimePoint Item::*field) {
+  if (fifo->empty() || !(item.*field < fifo->back().*field)) {
+    fifo->push_back(item);
+    return;
+  }
+  auto at = std::upper_bound(fifo->begin(), fifo->end(), item,
+                             [&](const Item& x, const Item& y) { return x.*field < y.*field; });
+  fifo->insert(at, item);
 }
 
 }  // namespace
@@ -152,10 +167,38 @@ ScheduleAuditor::ChainState& ScheduleAuditor::GetChain(const ViewerStateRecord& 
     chain_order_.push_back(id);
     viewer_chains_[record.viewer.value()].push_back(id);
     instance_chains_[record.instance.value()].push_back(id);
+    chain.last_evidence = when;
+    LinkChain(&chain);
+  } else if (&chain != newest_chain_ || when < chain.last_evidence) {
+    UnlinkChain(&chain);
+    chain.last_evidence = when;
+    LinkChain(&chain);
+  } else {
+    chain.last_evidence = when;  // Already newest; stays in place.
   }
-  chain.last_evidence = when;
   chain.max_seq_seen = std::max(chain.max_seq_seen, record.sequence);
   return chain;
+}
+
+void ScheduleAuditor::UnlinkChain(ChainState* chain) {
+  (chain->older != nullptr ? chain->older->newer : oldest_chain_) = chain->newer;
+  (chain->newer != nullptr ? chain->newer->older : newest_chain_) = chain->older;
+  chain->older = nullptr;
+  chain->newer = nullptr;
+}
+
+void ScheduleAuditor::LinkChain(ChainState* chain) {
+  // Evidence arrives in time order, so this is the newest end; the walk back
+  // only runs for evidence stamped earlier than the newest chain's.
+  ChainState* older = newest_chain_;
+  while (older != nullptr && older->last_evidence > chain->last_evidence) {
+    older = older->older;
+  }
+  ChainState* newer = older != nullptr ? older->newer : oldest_chain_;
+  chain->older = older;
+  chain->newer = newer;
+  (older != nullptr ? older->newer : oldest_chain_) = chain;
+  (newer != nullptr ? newer->older : newest_chain_) = chain;
 }
 
 void ScheduleAuditor::CheckArithmetic(ChainState& chain, const ViewerStateRecord& record,
@@ -234,12 +277,20 @@ void ScheduleAuditor::CheckArithmetic(ChainState& chain, const ViewerStateRecord
   }
 }
 
-void ScheduleAuditor::AppendHop(ChainState& chain, Hop hop) {
-  if (chain.hops.size() >= options_.max_hops_per_chain) {
-    chain.hops_dropped++;
+void ScheduleAuditor::HopLog::Append(const Hop& hop, size_t capacity) {
+  if (ring_.size() < capacity) {
+    if (ring_.capacity() == 0) {
+      ring_.reserve(capacity);  // The log's one allocation.
+    }
+    ring_.push_back(hop);
     return;
   }
-  chain.hops.push_back(hop);
+  dropped_++;
+  if (ring_.empty()) {
+    return;  // Capacity 0: nothing is retained.
+  }
+  ring_[head_] = hop;
+  head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -262,9 +313,10 @@ void ScheduleAuditor::OnRecordCreated(TimePoint when, uint32_t cub, CreateKind k
     // -> trip around the ring.
     chain.request_chain = request.ChainId();
   }
-  AppendHop(chain, Hop{when, HopKind::kCreated, cub, -1, record.sequence,
-                       record.mirror_fragment, record.lineage.hop_count,
-                       record.lineage.lamport});
+  chain.hops.Append(Hop{when, HopKind::kCreated, cub, -1, record.sequence,
+                        record.mirror_fragment, record.lineage.hop_count,
+                        record.lineage.lamport},
+                    options_.max_hops_per_chain);
   // Insertion races (§4.1.3): two different instances claiming one slot pass
   // cannot both come from legal ownership windows.
   if (kind == CreateKind::kInsert) {
@@ -280,6 +332,9 @@ void ScheduleAuditor::OnRecordCreated(TimePoint when, uint32_t cub, CreateKind k
       }
     }
     claims.push_back(SlotClaim{record.due.micros(), record.instance.value()});
+    claim_expiry_.push_back(ClaimExpiry{record.due.micros() + config_->block_play_time.micros(),
+                                        record.slot.value(), claims.back()});
+    std::push_heap(claim_expiry_.begin(), claim_expiry_.end(), ExpiresLater);
   }
   CheckArithmetic(chain, record, when, cub);
   // A late kill may have been waiting for this instance's first appearance.
@@ -299,13 +354,17 @@ void ScheduleAuditor::OnRecordForwarded(TimePoint when, uint32_t from, uint32_t 
   forwards_observed_++;
   ChainState& chain = GetChain(record, when);
   chain.cubs_seen |= CubBit(from);
-  AppendHop(chain, Hop{when, HopKind::kForwarded, from, static_cast<int32_t>(to),
-                       record.sequence, record.mirror_fragment, record.lineage.hop_count,
-                       record.lineage.lamport});
+  chain.hops.Append(Hop{when, HopKind::kForwarded, from, static_cast<int32_t>(to),
+                        record.sequence, record.mirror_fragment, record.lineage.hop_count,
+                        record.lineage.lamport},
+                    options_.max_hops_per_chain);
   CheckArithmetic(chain, record, when, from);
   PendingForward& pending = chain.pending[PendingKey(record.sequence, record.mirror_fragment)];
   if (pending.targets_mask == 0) {
     pending.first_sent = when;
+    InsertByTime(&pending_due_, PendingDue{when, chain.id, PendingKey(record.sequence,
+                                                                      record.mirror_fragment)},
+                 &PendingDue::first_sent);
   }
   pending.targets_mask |= CubBit(to);
 }
@@ -320,9 +379,10 @@ void ScheduleAuditor::OnRecordReceived(TimePoint when, uint32_t at,
   }
   ChainState& chain = GetChain(record, when);
   chain.cubs_seen |= CubBit(at);
-  AppendHop(chain, Hop{when, HopKind::kReceived, at, -1, record.sequence,
-                       record.mirror_fragment, record.lineage.hop_count,
-                       record.lineage.lamport});
+  chain.hops.Append(Hop{when, HopKind::kReceived, at, -1, record.sequence,
+                        record.mirror_fragment, record.lineage.hop_count,
+                        record.lineage.lamport},
+                    options_.max_hops_per_chain);
   CheckArithmetic(chain, record, when, at);
   // Resolve the matching pending forward (any copy reaching any target counts;
   // partial delivery is judged at the horizon).
@@ -378,9 +438,10 @@ void ScheduleAuditor::OnRecordTtlDropped(TimePoint when, uint32_t at,
   }
   ChainState& chain = GetChain(record, when);
   chain.cubs_seen |= CubBit(at);
-  AppendHop(chain, Hop{when, HopKind::kTtlDropped, at, -1, record.sequence,
-                       record.mirror_fragment, record.lineage.hop_count,
-                       record.lineage.lamport});
+  chain.hops.Append(Hop{when, HopKind::kTtlDropped, at, -1, record.sequence,
+                        record.mirror_fragment, record.lineage.hop_count,
+                        record.lineage.lamport},
+                    options_.max_hops_per_chain);
   // The record did arrive; don't let the guard's drop read as a lost forward.
   auto pending_it = chain.pending.find(PendingKey(record.sequence, record.mirror_fragment));
   if (pending_it != chain.pending.end()) {
@@ -414,6 +475,8 @@ void ScheduleAuditor::OnKill(TimePoint when, uint32_t at, const DescheduleRecord
     if (kill.slot.valid() && !instance_chains_.contains(kill.instance.value())) {
       state.orphan_candidate = true;
       state.orphan_deadline = when + options_.orphan_horizon;
+      InsertByTime(&orphan_due_, OrphanDue{state.orphan_deadline, kill.instance.value()},
+                   &OrphanDue::deadline);
     }
   }
   state.hold_until =
@@ -426,12 +489,9 @@ void ScheduleAuditor::OnKill(TimePoint when, uint32_t at, const DescheduleRecord
     if (state.kill_chain == 0) {
       state.kill_chain = lineage.ChainId();
     }
-    if (state.hops.size() < options_.max_hops_per_chain) {
-      state.hops.push_back(Hop{when, HopKind::kKillApplied, at, -1, -1, -1,
-                               lineage.hop_count, lineage.lamport});
-    } else {
-      state.hops_dropped++;
-    }
+    state.hops.Append(Hop{when, HopKind::kKillApplied, at, -1, -1, -1, lineage.hop_count,
+                          lineage.lamport},
+                      options_.max_hops_per_chain);
   }
   if (new_hold) {
     if ((state.fresh_hold_cubs & CubBit(at)) != 0) {
@@ -452,45 +512,67 @@ void ScheduleAuditor::OnKill(TimePoint when, uint32_t at, const DescheduleRecord
 // ---------------------------------------------------------------------------
 
 void ScheduleAuditor::ResolvePendingForwards(TimePoint now) {
-  for (auto& [id, chain] : chains_) {
-    for (auto it = chain.pending.begin(); it != chain.pending.end();) {
-      const PendingForward& pending = it->second;
-      if (pending.first_sent + options_.lost_horizon > now) {
-        ++it;
-        continue;
-      }
-      // Key layout is seq * 256 + (fragment + 1) with fragment + 1 in
-      // [0, 255], so plain division recovers the sequence exactly.
-      const int64_t sequence = it->first / 256;
-      if (pending.received_mask == 0) {
-        if (chain.max_seq_seen > sequence) {
-          // Both copies vanished but the chain advanced past the record:
-          // takeover / failure re-forwarding regenerated it downstream.
-          rescued_by_second_successor_++;
-        } else {
-          std::string detail;
-          Appendf(&detail, "forwarded to %d cub(s), never received anywhere",
-                  __builtin_popcountll(pending.targets_mask));
-          Flag(DivergenceClass::kTrulyLostRecord, pending.first_sent, chain.id,
-               chain.viewer, static_cast<int64_t>(chain.instance), chain.slot, -1,
-               sequence, std::move(detail));
-        }
-      } else {
-        // One of the double-forwarded copies was lost; the other carried the
-        // schedule — §4.1.1's redundancy working as designed.
-        rescued_by_second_successor_++;
-        forwards_delivered_++;
-      }
-      it = chain.pending.erase(it);
-    }
+  // Every pending forward filed one item when it was first sent, and
+  // lost_horizon is constant, so the due forwards are exactly a prefix of
+  // the FIFO. One check judges them in canonical (first_sent, chain, key)
+  // order: the retained divergence rows (and which row of a chain the dedup
+  // keeps) then follow send order, not hash-map layout.
+  while (!pending_due_.empty() &&
+         pending_due_.front().first_sent + options_.lost_horizon <= now) {
+    due_scratch_.push_back(pending_due_.front());
+    pending_due_.pop_front();
   }
+  std::sort(due_scratch_.begin(), due_scratch_.end(), [](const PendingDue& x, const PendingDue& y) {
+    return std::tie(x.first_sent, x.chain, x.key) < std::tie(y.first_sent, y.chain, y.key);
+  });
+  for (const PendingDue& due : due_scratch_) {
+    auto chain_it = chains_.find(due.chain);
+    if (chain_it == chains_.end()) {
+      continue;  // Stale: the chain resolved everything and was pruned.
+    }
+    ChainState& chain = chain_it->second;
+    auto it = chain.pending.find(due.key);
+    if (it == chain.pending.end() || it->second.first_sent != due.first_sent) {
+      continue;  // Stale: delivered, or re-armed by a later send.
+    }
+    const PendingForward& pending = it->second;
+    // Key layout is seq * 256 + (fragment + 1) with fragment + 1 in
+    // [0, 255], so plain division recovers the sequence exactly.
+    const int64_t sequence = it->first / 256;
+    if (pending.received_mask == 0) {
+      if (chain.max_seq_seen > sequence) {
+        // Both copies vanished but the chain advanced past the record:
+        // takeover / failure re-forwarding regenerated it downstream.
+        rescued_by_second_successor_++;
+      } else {
+        std::string detail;
+        Appendf(&detail, "forwarded to %d cub(s), never received anywhere",
+                __builtin_popcountll(pending.targets_mask));
+        Flag(DivergenceClass::kTrulyLostRecord, pending.first_sent, chain.id,
+             chain.viewer, static_cast<int64_t>(chain.instance), chain.slot, -1,
+             sequence, std::move(detail));
+      }
+    } else {
+      // One of the double-forwarded copies was lost; the other carried the
+      // schedule — §4.1.1's redundancy working as designed.
+      rescued_by_second_successor_++;
+      forwards_delivered_++;
+    }
+    chain.pending.erase(it);
+  }
+  due_scratch_.clear();
 }
 
 void ScheduleAuditor::ResolveOrphanKills(TimePoint now) {
-  for (auto& [instance, state] : kills_) {
-    if (!state.orphan_candidate || state.orphan_deadline > now) {
-      continue;
+  // Candidates come due in deadline order; ties keep first-kill order.
+  while (!orphan_due_.empty() && orphan_due_.front().deadline <= now) {
+    const uint64_t instance = orphan_due_.front().instance;
+    orphan_due_.pop_front();
+    auto it = kills_.find(instance);
+    if (it == kills_.end() || !it->second.orphan_candidate) {
+      continue;  // Explained by schedule evidence before its deadline.
     }
+    KillState& state = it->second;
     state.orphan_candidate = false;
     if (!instance_chains_.contains(instance)) {
       Flag(DivergenceClass::kOrphanKill, state.first_when, 0, state.viewer,
@@ -537,23 +619,38 @@ void ScheduleAuditor::DiffViews(TimePoint now) {
 }
 
 void ScheduleAuditor::PruneState(TimePoint now) {
-  const int64_t play = config_->block_play_time.micros();
-  for (auto& [slot, claims] : slot_claims_) {
-    std::erase_if(claims, [&](const SlotClaim& claim) {
-      return claim.due_us + play < now.micros();
+  // A claim expires once its slot pass has played out (due + play < now).
+  while (!claim_expiry_.empty() && claim_expiry_.front().expires_us < now.micros()) {
+    std::pop_heap(claim_expiry_.begin(), claim_expiry_.end(), ExpiresLater);
+    const ClaimExpiry expired = claim_expiry_.back();
+    claim_expiry_.pop_back();
+    auto slot_it = slot_claims_.find(expired.slot);
+    TIGER_DCHECK(slot_it != slot_claims_.end());
+    auto& claims = slot_it->second;
+    auto claim_it = std::find_if(claims.begin(), claims.end(), [&](const SlotClaim& claim) {
+      return claim.due_us == expired.claim.due_us && claim.instance == expired.claim.instance;
     });
+    TIGER_DCHECK(claim_it != claims.end());
+    claims.erase(claim_it);
+    if (claims.empty()) {
+      slot_claims_.erase(slot_it);
+    }
   }
   if (options_.chain_retention <= Duration::Zero()) {
     return;
   }
-  for (auto it = chains_.begin(); it != chains_.end();) {
-    ChainState& chain = it->second;
-    if (chain.pending.empty() && chain.last_evidence + options_.chain_retention < now) {
+  // Oldest evidence first; everything from the first chain still inside the
+  // retention window on is newer still. A chain with forwards pending stays
+  // (only when retention is shorter than lost_horizon can one be this old).
+  for (ChainState* chain = oldest_chain_;
+       chain != nullptr && chain->last_evidence + options_.chain_retention < now;) {
+    ChainState* newer = chain->newer;
+    if (chain->pending.empty()) {
+      UnlinkChain(chain);
       chains_pruned_++;
-      it = chains_.erase(it);
-    } else {
-      ++it;
+      chains_.erase(chain->id);
     }
+    chain = newer;
   }
 }
 
@@ -648,7 +745,7 @@ std::vector<uint64_t> ScheduleAuditor::ChainsOfViewer(ViewerId viewer) const {
   return {it->second.begin(), it->second.end()};
 }
 
-const ScheduleAuditor::HopVec* ScheduleAuditor::ChainHops(uint64_t chain) const {
+const ScheduleAuditor::HopLog* ScheduleAuditor::ChainHops(uint64_t chain) const {
   auto it = chains_.find(chain);
   if (it == chains_.end()) {
     return nullptr;
@@ -656,7 +753,7 @@ const ScheduleAuditor::HopVec* ScheduleAuditor::ChainHops(uint64_t chain) const 
   return &it->second.hops;
 }
 
-const ScheduleAuditor::HopVec* ScheduleAuditor::KillHops(
+const ScheduleAuditor::HopLog* ScheduleAuditor::KillHops(
     PlayInstanceId instance) const {
   auto it = kills_.find(instance.value());
   if (it == kills_.end() || it->second.hops.empty()) {
@@ -681,8 +778,8 @@ std::string ScheduleAuditor::ViewerLineage(ViewerId viewer) const {
       Appendf(&out, " request 0x%" PRIx64, chain.request_chain);
     }
     Appendf(&out, " (%zu hops", chain.hops.size());
-    if (chain.hops_dropped > 0) {
-      Appendf(&out, ", %" PRId64 " dropped", chain.hops_dropped);
+    if (chain.hops.dropped() > 0) {
+      Appendf(&out, ", %" PRId64 " dropped", chain.hops.dropped());
     }
     out += ")\n";
     for (const Hop& hop : chain.hops) {

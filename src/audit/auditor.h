@@ -56,6 +56,8 @@
 #define SRC_AUDIT_AUDITOR_H_
 
 #include <cstdint>
+#include <deque>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
@@ -123,10 +125,72 @@ class ScheduleAuditor : public Actor, public AuditObserver {
     uint16_t hop_count = 0;
     uint64_t lamport = 0;
   };
-  // Hop logs and chain registries draw from the thread-local payload pool so
-  // the per-event evidence intake recycles storage instead of allocating: the
-  // auditor rides the same hot path it audits.
-  using HopVec = std::vector<Hop, PoolAllocator<Hop>>;
+  // One chain's (or one kill's) lineage log: a ring of its newest hops. The
+  // ring's storage is reserved once, at full capacity, by the first append
+  // and never regrows; once full, each append overwrites the oldest hop and
+  // counts it in dropped(). Indexing and iteration run oldest-first over the
+  // retained hops, so a log reads like the vector it replaces. Keeping the
+  // newest hops means a long-lived viewer's log still covers its latest
+  // failure, which is the part a lineage query is asked to explain.
+  class HopLog {
+   public:
+    class const_iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = Hop;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const Hop*;
+      using reference = const Hop&;
+      const_iterator() = default;
+      const_iterator(const HopLog* log, size_t index) : log_(log), index_(index) {}
+      const Hop& operator*() const { return (*log_)[index_]; }
+      const Hop* operator->() const { return &(*log_)[index_]; }
+      const_iterator& operator++() {
+        ++index_;
+        return *this;
+      }
+      const_iterator operator++(int) {
+        const_iterator before = *this;
+        ++index_;
+        return before;
+      }
+      bool operator==(const const_iterator& o) const { return index_ == o.index_; }
+
+     private:
+      const HopLog* log_ = nullptr;
+      size_t index_ = 0;
+    };
+
+    // Member initializers instead of NSDMIs: GCC rejects a nested class's
+    // NSDMIs while the enclosing class is still incomplete.
+    HopLog() : head_(0), dropped_(0) {}
+
+    size_t size() const { return ring_.size(); }
+    bool empty() const { return ring_.empty(); }
+    // Hops evicted to make room for newer ones.
+    int64_t dropped() const { return dropped_; }
+    // The i-th oldest retained hop.
+    const Hop& operator[](size_t i) const {
+      size_t slot = head_ + i;
+      if (slot >= ring_.size()) {
+        slot -= ring_.size();
+      }
+      return ring_[slot];
+    }
+    const_iterator begin() const { return const_iterator(this, 0); }
+    const_iterator end() const { return const_iterator(this, ring_.size()); }
+
+    // Appends `hop`, evicting the oldest once `capacity` hops are retained.
+    // Every call on one log must pass the same capacity.
+    void Append(const Hop& hop, size_t capacity);
+
+   private:
+    // Hop storage draws from the thread-local payload pool when it fits a
+    // size class, like the chain registries below.
+    std::vector<Hop, PoolAllocator<Hop>> ring_;
+    size_t head_;  // Oldest retained hop once the ring is full.
+    int64_t dropped_;
+  };
 
   struct Options {
     Duration period = Duration::Millis(250);
@@ -140,8 +204,12 @@ class ScheduleAuditor : public Actor, public AuditObserver {
     // Quiesced chains (no evidence, no pending forwards) older than this are
     // pruned so auditor memory stays bounded on long runs.
     Duration chain_retention = Duration::Seconds(600);
-    // Hop-log cap per chain; older hops beyond it are dropped (counted).
-    size_t max_hops_per_chain = 4096;
+    // Hops retained per chain (and per killed instance): each log keeps its
+    // newest max_hops_per_chain hops and counts the older ones it evicts.
+    // A viewer's chain gathers ~4.3 hops/s on a 28-cub ring, so 256 covers
+    // the last ~60 s of its trip: a deadman timeout, the takeover and the
+    // ~8 s loss window of a failure, with room to spare.
+    size_t max_hops_per_chain = 256;
     // Retained divergence records (raw per-class counters keep counting).
     size_t max_divergences = 1024;
   };
@@ -199,14 +267,16 @@ class ScheduleAuditor : public Actor, public AuditObserver {
   // --- lineage query API ---
   // Chains (origin<<32|epoch) minted for this viewer, in first-seen order.
   std::vector<uint64_t> ChainsOfViewer(ViewerId viewer) const;
-  // Hop log of one chain; nullptr if the chain is unknown (or pruned).
-  const HopVec* ChainHops(uint64_t chain) const;
+  // Retained hop log of one chain (its newest max_hops_per_chain hops,
+  // oldest-first); nullptr if the chain is unknown (or pruned).
+  const HopLog* ChainHops(uint64_t chain) const;
   // "Show viewer 17's record's full hop chain": human-readable trip log.
   std::string ViewerLineage(ViewerId viewer) const;
   // The kill message's trip for an instance: one kKillApplied hop per cub
   // application, carrying the DescheduleMsg lineage's hop count and Lamport
-  // stamp. nullptr if no kill evidence names the instance.
-  const HopVec* KillHops(PlayInstanceId instance) const;
+  // stamp (the newest max_hops_per_chain of them, oldest-first). nullptr if
+  // no kill evidence names the instance.
+  const HopLog* KillHops(PlayInstanceId instance) const;
   // Full hop table as CSV (chain,origin,epoch,hop kind,time,cubs,...).
   std::string LineageCsv() const;
   bool WriteLineageCsv(const std::string& path) const;
@@ -254,8 +324,10 @@ class ScheduleAuditor : public Actor, public AuditObserver {
     uint64_t request_chain = 0;
     int64_t max_seq_seen = 0;
     TimePoint last_evidence;
-    HopVec hops;
-    int64_t hops_dropped = 0;
+    // Neighbours in the chain recency list (oldest last_evidence first).
+    ChainState* older = nullptr;
+    ChainState* newer = nullptr;
+    HopLog hops;
     // Forwards not yet confirmed received, keyed by seq * 256 + fragment + 1.
     std::map<int64_t, PendingForward, std::less<int64_t>,
              PoolAllocator<std::pair<const int64_t, PendingForward>>>
@@ -273,14 +345,35 @@ class ScheduleAuditor : public Actor, public AuditObserver {
     // Message-level lineage of the kill: its controller-minted chain and one
     // kKillApplied hop per application, in observation order.
     uint64_t kill_chain = 0;
-    HopVec hops;
-    int64_t hops_dropped = 0;
+    HopLog hops;
   };
   struct SlotClaim {
     int64_t due_us = 0;
     uint64_t instance = 0;
   };
+  // Expiry-index items. A pending forward comes due lost_horizon after its
+  // first send, an orphan candidate at its deadline, a slot claim once its
+  // slot pass has played out (due + play). Each check pops only the items
+  // that have come due.
+  struct PendingDue {
+    TimePoint first_sent;
+    uint64_t chain = 0;
+    int64_t key = 0;  // PendingKey of the forward.
+  };
+  struct OrphanDue {
+    TimePoint deadline;
+    uint64_t instance = 0;
+  };
+  struct ClaimExpiry {
+    int64_t expires_us = 0;  // due_us + play.
+    int64_t slot = 0;
+    SlotClaim claim;
+  };
 
+  // Heap order for claim_expiry_: the soonest expiry on top.
+  static bool ExpiresLater(const ClaimExpiry& x, const ClaimExpiry& y) {
+    return x.expires_us > y.expires_us;
+  }
   static uint64_t CubBit(uint32_t cub) { return uint64_t{1} << (cub & 63); }
   static int64_t PendingKey(int64_t sequence, int32_t fragment) {
     return sequence * 256 + fragment + 1;
@@ -289,12 +382,17 @@ class ScheduleAuditor : public Actor, public AuditObserver {
   // microseconds — identical to the cubs' non-drifting spacing arithmetic.
   int64_t FragOffsetUs(int32_t fragment) const;
 
+  // Finds or creates the record's chain and stamps its last evidence,
+  // moving it to the newest end of the recency list.
   ChainState& GetChain(const ViewerStateRecord& record, TimePoint when);
+  void UnlinkChain(ChainState* chain);
+  // Links `chain` into the recency list by its last_evidence: at the newest
+  // end, or further back if evidence arrived out of time order.
+  void LinkChain(ChainState* chain);
   // Verifies `record` against the chain's shared arithmetic, introducing
   // anchors/lanes when absent. `cub` scopes any flagged divergence.
   void CheckArithmetic(ChainState& chain, const ViewerStateRecord& record,
                        TimePoint when, uint32_t cub);
-  void AppendHop(ChainState& chain, Hop hop);
   void Flag(DivergenceClass cls, TimePoint when, uint64_t chain, int64_t viewer,
             int64_t instance, int64_t slot, int64_t cub, int64_t sequence,
             std::string detail);
@@ -322,6 +420,24 @@ class ScheduleAuditor : public Actor, public AuditObserver {
   PooledU64Map<KillState> kills_;
   ChainIdVec kill_order_;  // Instances in first-kill order.
   PooledU64Map<std::vector<SlotClaim, PoolAllocator<SlotClaim>>> slot_claims_;
+
+  // Expiry indexes: a check costs what comes due, not the number of chains,
+  // kills or slots. The two FIFOs stay sorted by time because evidence
+  // arrives in time order and each horizon is a constant (an out-of-order
+  // item is inserted in place). Items are not removed when their subject
+  // resolves early; a popped item whose subject is gone or re-armed is
+  // stale and skipped.
+  std::deque<PendingDue, PoolAllocator<PendingDue>> pending_due_;
+  std::deque<OrphanDue, PoolAllocator<OrphanDue>> orphan_due_;
+  // Min-heap by expires_us; claim dues do not arrive in time order.
+  std::vector<ClaimExpiry> claim_expiry_;
+  // Items a check resolves, sorted into the canonical order (see
+  // ResolvePendingForwards); kept to reuse capacity.
+  std::vector<PendingDue> due_scratch_;
+  // Chain recency list, oldest last_evidence first: pruning pops the oldest
+  // end and stops at the first chain still inside the retention window.
+  ChainState* oldest_chain_ = nullptr;
+  ChainState* newest_chain_ = nullptr;
 
   std::vector<Divergence> divergences_;
   int64_t counts_[static_cast<size_t>(DivergenceClass::kClassCount)] = {};

@@ -1,5 +1,6 @@
 #include "src/disk/disk.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/sim/shard_engine.h"
@@ -13,6 +14,12 @@ void SimulatedDisk::SubmitRead(DiskZone zone, int64_t bytes, Completion done,
   }
   TIGER_CHECK(bytes > 0);
   TIGER_CHECK(done != nullptr);
+  if (queue_.size() == queue_.capacity() && queue_head_ * 2 >= queue_.size()) {
+    // Reclaim the popped prefix instead of growing. It is at least half the
+    // vector, so the move is paid for by the pops that made it.
+    queue_.erase(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(queue_head_));
+    queue_head_ = 0;
+  }
   queue_.push_back(Request{zone, bytes, std::move(done), deadline});
   if (!busy_) {
     StartNext();
@@ -20,29 +27,40 @@ void SimulatedDisk::SubmitRead(DiskZone zone, int64_t bytes, Completion done,
 }
 
 SimulatedDisk::Request SimulatedDisk::PopNext() {
-  TIGER_DCHECK(!queue_.empty());
-  auto it = queue_.begin();
+  TIGER_DCHECK(queue_head_ < queue_.size());
+  size_t pick = queue_head_;
   if (discipline_ == DiskQueueDiscipline::kEarliestDeadlineFirst) {
-    for (auto candidate = queue_.begin(); candidate != queue_.end(); ++candidate) {
-      if (candidate->deadline < it->deadline) {
-        it = candidate;
+    for (size_t i = queue_head_; i < queue_.size(); ++i) {
+      if (queue_[i].deadline < queue_[pick].deadline) {
+        pick = i;
       }
     }
   }
-  Request request = std::move(*it);
-  queue_.erase(it);
+  Request request = std::move(queue_[pick]);
+  if (pick == queue_head_) {
+    ++queue_head_;
+  } else {
+    // Close the gap, keeping the rest in arrival order.
+    std::move(queue_.begin() + static_cast<std::ptrdiff_t>(pick) + 1, queue_.end(),
+              queue_.begin() + static_cast<std::ptrdiff_t>(pick));
+    queue_.pop_back();
+  }
+  if (queue_head_ == queue_.size()) {
+    queue_.clear();
+    queue_head_ = 0;
+  }
   return request;
 }
 
 void SimulatedDisk::StartNext() {
   TIGER_DCHECK(!busy_);
-  if (queue_.empty() || halted()) {
+  if (queue_head_ == queue_.size() || halted()) {
     return;
   }
-  Request request = PopNext();
+  in_service_ = PopNext();
   busy_ = true;
   const TimePoint start = Now();
-  Duration service = model_.DrawReadTime(request.zone, request.bytes, rng_);
+  Duration service = model_.DrawReadTime(in_service_.zone, in_service_.bytes, rng_);
   if (limp_window_.Contains(start)) {
     service = Duration::Micros(service.micros() * limp_num_ / limp_den_);
     if (fault_stats_ != nullptr) {
@@ -60,18 +78,19 @@ void SimulatedDisk::StartNext() {
                                FaultStats::Kind::kTransientDiskError, start, id_);
     }
   }
-  After(service, [this, start, ok, request = std::move(request)]() mutable {
+  After(service, [this, start, ok] {
     busy_ = false;
     busy_meter_.AddBusyInterval(start, Now());
+    const int64_t bytes = in_service_.bytes;
     TIGER_TRACE_COMPLETE(tracer_, trace_track_, TraceEventType::kDiskService, start,
-                         Now() - start, TraceArgs{.a = request.bytes, .b = ok ? 1 : 0});
+                         Now() - start, TraceArgs{.a = bytes, .b = ok ? 1 : 0});
     if (ok) {
       reads_completed_++;
-      bytes_read_ += request.bytes;
+      bytes_read_ += bytes;
     } else {
       read_errors_++;
     }
-    Completion done = std::move(request.done);
+    Completion done = std::move(in_service_.done);
     StartNext();
     done(ok);
   });
@@ -80,6 +99,8 @@ void SimulatedDisk::StartNext() {
 void SimulatedDisk::Halt() {
   Actor::Halt();
   queue_.clear();
+  queue_head_ = 0;
+  in_service_.done.Reset();
   busy_ = false;
 }
 

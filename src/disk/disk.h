@@ -9,8 +9,6 @@
 #define SRC_DISK_DISK_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -18,6 +16,7 @@
 #include "src/common/rng.h"
 #include "src/disk/disk_model.h"
 #include "src/sim/actor.h"
+#include "src/sim/inline_function.h"
 #include "src/stats/fault_stats.h"
 #include "src/stats/meter.h"
 #include "src/trace/trace.h"
@@ -37,8 +36,9 @@ class SimulatedDisk : public Actor {
  public:
   // Invoked at completion time. `ok` is false when the read failed (injected
   // transient error): the caller got no data and should fall back to the
-  // declustered mirror copies.
-  using Completion = std::function<void(bool ok)>;
+  // declustered mirror copies. Stored inline (up to 64 bytes of capture), so
+  // a read allocates nothing for its callback.
+  using Completion = BasicInlineFunction<void(bool ok)>;
 
   SimulatedDisk(Simulator* sim, std::string name, DiskId id, DiskModel model, Rng rng)
       : Actor(sim, std::move(name)), id_(id), model_(model), rng_(std::move(rng)) {}
@@ -77,7 +77,7 @@ class SimulatedDisk : public Actor {
   // usual throughput after entering thermal recalibration).
   void InjectLimp(TimePoint start, TimePoint end, int64_t num, int64_t den = 1);
 
-  size_t queue_depth() const { return queue_.size() + (busy_ ? 1 : 0); }
+  size_t queue_depth() const { return queue_.size() - queue_head_ + (busy_ ? 1 : 0); }
   int64_t reads_completed() const { return reads_completed_; }
   int64_t read_errors() const { return read_errors_; }
   int64_t bytes_read() const { return bytes_read_; }
@@ -85,8 +85,8 @@ class SimulatedDisk : public Actor {
 
  private:
   struct Request {
-    DiskZone zone;
-    int64_t bytes;
+    DiskZone zone = DiskZone::kOuter;
+    int64_t bytes = 0;
     Completion done;
     TimePoint deadline;
   };
@@ -103,7 +103,16 @@ class SimulatedDisk : public Actor {
   DiskModel model_;
   Rng rng_;
   DiskQueueDiscipline discipline_ = DiskQueueDiscipline::kFifo;
-  std::deque<Request> queue_;
+  // Queued requests are queue_[queue_head_, end): a pop advances the head,
+  // and the dead prefix is reclaimed when the queue drains, or instead of
+  // growing once it is half the vector. Steady-state reads reuse its
+  // capacity, where a std::deque frees and reallocates a chunk every few
+  // requests.
+  std::vector<Request> queue_;
+  size_t queue_head_ = 0;
+  // The request being serviced while busy_: the service timer captures only
+  // {this, start, ok}, small enough to schedule without boxing.
+  Request in_service_;
   bool busy_ = false;
   int64_t reads_completed_ = 0;
   int64_t read_errors_ = 0;

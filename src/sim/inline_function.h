@@ -10,6 +10,10 @@
 // Move-only by design: the simulator invokes each callback exactly once and
 // never copies it, and move-only storage lets callbacks own move-only state
 // (pooled payloads, unique_ptrs).
+//
+// BasicInlineFunction<void(Args...)> is the general form; InlineFunction, the
+// simulator's event callback, is BasicInlineFunction<void()>. A disk read's
+// completion (SimulatedDisk::Completion) takes the read's outcome.
 
 #ifndef SRC_SIM_INLINE_FUNCTION_H_
 #define SRC_SIM_INLINE_FUNCTION_H_
@@ -21,19 +25,23 @@
 
 namespace tiger {
 
-class InlineFunction {
+template <typename Signature>
+class BasicInlineFunction;
+
+template <typename... Args>
+class BasicInlineFunction<void(Args...)> {
  public:
   // Sized to hold the Network delivery closure (envelope + trace metadata,
   // 56 bytes) inline; anything bigger is rare and boxes.
   static constexpr size_t kInlineBytes = 64;
 
-  InlineFunction() noexcept = default;
-  InlineFunction(std::nullptr_t) noexcept {}  // NOLINT: mirrors std::function
+  BasicInlineFunction() noexcept = default;
+  BasicInlineFunction(std::nullptr_t) noexcept {}  // NOLINT: mirrors std::function
 
   template <typename F, typename D = std::decay_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<D, InlineFunction> &&
-                                        std::is_invocable_r_v<void, D&>>>
-  InlineFunction(F&& f) {  // NOLINT: implicit, mirrors std::function
+            typename = std::enable_if_t<!std::is_same_v<D, BasicInlineFunction> &&
+                                        std::is_invocable_r_v<void, D&, Args...>>>
+  BasicInlineFunction(F&& f) {  // NOLINT: implicit, mirrors std::function
     if constexpr (sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
                   std::is_nothrow_move_constructible_v<D>) {
       ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
@@ -44,23 +52,23 @@ class InlineFunction {
     }
   }
 
-  InlineFunction(InlineFunction&& o) noexcept { MoveFrom(o); }
-  InlineFunction& operator=(InlineFunction&& o) noexcept {
+  BasicInlineFunction(BasicInlineFunction&& o) noexcept { MoveFrom(o); }
+  BasicInlineFunction& operator=(BasicInlineFunction&& o) noexcept {
     if (this != &o) {
       Reset();
       MoveFrom(o);
     }
     return *this;
   }
-  InlineFunction(const InlineFunction&) = delete;
-  InlineFunction& operator=(const InlineFunction&) = delete;
-  ~InlineFunction() { Reset(); }
+  BasicInlineFunction(const BasicInlineFunction&) = delete;
+  BasicInlineFunction& operator=(const BasicInlineFunction&) = delete;
+  ~BasicInlineFunction() { Reset(); }
 
-  void operator()() { ops_->invoke(storage_); }
+  void operator()(Args... args) { ops_->invoke(storage_, std::forward<Args>(args)...); }
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
-  friend bool operator==(const InlineFunction& f, std::nullptr_t) noexcept { return !f; }
-  friend bool operator!=(const InlineFunction& f, std::nullptr_t) noexcept {
+  friend bool operator==(const BasicInlineFunction& f, std::nullptr_t) noexcept { return !f; }
+  friend bool operator!=(const BasicInlineFunction& f, std::nullptr_t) noexcept {
     return static_cast<bool>(f);
   }
 
@@ -76,7 +84,7 @@ class InlineFunction {
 
  private:
   struct Ops {
-    void (*invoke)(void*);
+    void (*invoke)(void*, Args...);
     // Move-constructs the callable into `to` and destroys it in `from`.
     void (*relocate)(void* from, void* to) noexcept;
     void (*destroy)(void*) noexcept;
@@ -94,7 +102,7 @@ class InlineFunction {
 
   template <typename D>
   static constexpr Ops kInlineOps{
-      [](void* s) { (*Held<D>(s))(); },
+      [](void* s, Args... args) { (*Held<D>(s))(std::forward<Args>(args)...); },
       [](void* from, void* to) noexcept {
         ::new (to) D(std::move(*Held<D>(from)));
         Held<D>(from)->~D();
@@ -105,13 +113,13 @@ class InlineFunction {
 
   template <typename D>
   static constexpr Ops kBoxedOps{
-      [](void* s) { (*HeldPtr<D>(s))(); },
+      [](void* s, Args... args) { (*HeldPtr<D>(s))(std::forward<Args>(args)...); },
       [](void* from, void* to) noexcept { ::new (to) D*(HeldPtr<D>(from)); },
       [](void* s) noexcept { delete HeldPtr<D>(s); },
       /*inline_storage=*/false,
   };
 
-  void MoveFrom(InlineFunction& o) noexcept {
+  void MoveFrom(BasicInlineFunction& o) noexcept {
     if (o.ops_ != nullptr) {
       ops_ = o.ops_;
       ops_->relocate(o.storage_, storage_);
@@ -122,6 +130,8 @@ class InlineFunction {
   alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
   const Ops* ops_ = nullptr;
 };
+
+using InlineFunction = BasicInlineFunction<void()>;
 
 }  // namespace tiger
 

@@ -1,8 +1,8 @@
 #include "src/trace/trace.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
+#include <charconv>
+#include <string_view>
 
 #include "src/common/check.h"
 
@@ -266,11 +266,59 @@ char PhaseChar(TracePhase phase) {
   return '?';
 }
 
-void AppendField(std::string* out, const char* name, int64_t value) {
-  char buf[48];
-  int n = std::snprintf(buf, sizeof(buf), " %s=%" PRId64, name, value);
-  TIGER_DCHECK(n > 0 && static_cast<size_t>(n) < sizeof(buf));
-  out->append(buf, static_cast<size_t>(n));
+// Appenders for the exports below. Both renderings run over every event of a
+// bundle window or a full trace, so they build lines from std::to_chars
+// pieces instead of snprintf's format parsing; each reproduces one printf
+// conversion exactly (noted per helper), which keeps every golden and every
+// bundle byte-identical to the printf-era renderings.
+
+// "%" PRId64 / "%" PRIu64 / "%zu".
+template <typename Int>
+void AppendInt(std::string* out, Int value) {
+  char buf[24];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  out->append(buf, result.ptr);
+}
+
+// "%0<width>" PRIu64: zero-padded on the left to `width` digits.
+void AppendZeroPadded(std::string* out, uint64_t value, size_t width) {
+  char buf[24];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  const size_t len = static_cast<size_t>(result.ptr - buf);
+  if (len < width) {
+    out->append(width - len, '0');
+  }
+  out->append(buf, len);
+}
+
+// "%-<width>s": left-justified, space-padded on the right, never truncated.
+void AppendLeft(std::string* out, std::string_view text, size_t width) {
+  out->append(text);
+  if (text.size() < width) {
+    out->append(width - text.size(), ' ');
+  }
+}
+
+// "%-<width>" PRId64: left-justified, space-padded on the right.
+void AppendIntLeft(std::string* out, int64_t value, size_t width) {
+  char buf[24];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  AppendLeft(out, std::string_view(buf, result.ptr), width);
+}
+
+// "%" PRIx64: lowercase hex, no prefix, no padding.
+void AppendHex(std::string* out, uint64_t value) {
+  char buf[16];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value, 16);
+  out->append(buf, result.ptr);
+}
+
+// " <name>=%" PRId64.
+void AppendField(std::string* out, std::string_view name, int64_t value) {
+  out->push_back(' ');
+  out->append(name);
+  out->push_back('=');
+  AppendInt(out, value);
 }
 
 }  // namespace
@@ -283,24 +331,26 @@ std::string Tracer::TextDumpOf(const std::vector<TraceEvent>& events,
                                const std::vector<std::string>& track_names,
                                uint64_t dropped) {
   std::string out;
-  char line[160];
+  // A typical line is ~75 bytes (seq, time, names, two or three fields).
+  out.reserve(events.size() * 96 + 96);
   if (dropped > 0) {
     // Audits reading this dump must know their evidence is incomplete: the
     // rings wrapped and the oldest events are gone.
-    int n = std::snprintf(line, sizeof(line),
-                          "# WARNING: ring buffers dropped %" PRIu64
-                          " event(s); dump is incomplete\n",
-                          dropped);
-    TIGER_DCHECK(n > 0 && static_cast<size_t>(n) < sizeof(line));
-    out.append(line, static_cast<size_t>(n));
+    out += "# WARNING: ring buffers dropped ";
+    AppendInt(&out, dropped);
+    out += " event(s); dump is incomplete\n";
   }
   for (const TraceEvent& event : events) {
-    int n = std::snprintf(line, sizeof(line), "%06" PRIu64 " t=%-10" PRId64 " %-7s %c %-15s",
-                          event.seq, event.when.micros(),
-                          track_names[event.track].c_str(), PhaseChar(event.phase),
-                          TypeName(event.type));
-    TIGER_DCHECK(n > 0 && static_cast<size_t>(n) < sizeof(line));
-    out.append(line, static_cast<size_t>(n));
+    // "%06" PRIu64 " t=%-10" PRId64 " %-7s %c %-15s"
+    AppendZeroPadded(&out, event.seq, 6);
+    out += " t=";
+    AppendIntLeft(&out, event.when.micros(), 10);
+    out.push_back(' ');
+    AppendLeft(&out, track_names[event.track].c_str(), 7);
+    out.push_back(' ');
+    out.push_back(PhaseChar(event.phase));
+    out.push_back(' ');
+    AppendLeft(&out, TypeName(event.type), 15);
     if (event.phase == TracePhase::kComplete) {
       AppendField(&out, "dur", event.dur.micros());
     }
@@ -333,74 +383,76 @@ std::string Tracer::ChromeJsonOf(const std::vector<TraceEvent>& events,
                                  const std::string& extra_events) {
   // All tracks live in one process; each track is a thread so Perfetto lays
   // cubs/disks/net out as parallel swimlanes.
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  char buf[320];
-  int n = std::snprintf(buf, sizeof(buf),
-                        "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\","
-                        "\"args\":{\"name\":\"tiger\"}}");
-  out.append(buf, static_cast<size_t>(n));
+  std::string out;
+  // A typical event object is ~145 bytes.
+  out.reserve(events.size() * 176 + track_names.size() * 96 + extra_events.size() + 128);
+  out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+  out += "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"tiger\"}}";
   for (size_t t = 0; t < track_names.size(); ++t) {
-    n = std::snprintf(buf, sizeof(buf),
-                      ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":%zu,\"name\":\"thread_name\","
-                      "\"args\":{\"name\":\"%s\"}}",
-                      t + 1, track_names[t].c_str());
-    TIGER_DCHECK(n > 0 && static_cast<size_t>(n) < sizeof(buf));
-    out.append(buf, static_cast<size_t>(n));
+    out += ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":";
+    AppendInt(&out, t + 1);
+    out += ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
+    out += track_names[t].c_str();
+    out += "\"}}";
   }
   for (const TraceEvent& event : events) {
-    const char* name = TypeName(event.type);
-    const char* cat = TypeCategory(event.type);
-    const size_t tid = static_cast<size_t>(event.track) + 1;
     switch (event.phase) {
       case TracePhase::kInstant:
-        n = std::snprintf(buf, sizeof(buf),
-                          ",\n{\"ph\":\"i\",\"pid\":1,\"tid\":%zu,\"ts\":%" PRId64
-                          ",\"name\":\"%s\",\"cat\":\"%s\",\"s\":\"t\"",
-                          tid, event.when.micros(), name, cat);
+        out += ",\n{\"ph\":\"i\"";
         break;
       case TracePhase::kBegin:
-        n = std::snprintf(buf, sizeof(buf),
-                          ",\n{\"ph\":\"b\",\"pid\":1,\"tid\":%zu,\"ts\":%" PRId64
-                          ",\"name\":\"%s\",\"cat\":\"%s\",\"id\":\"0x%" PRIx64 "\"",
-                          tid, event.when.micros(), name, cat, event.flow);
+        out += ",\n{\"ph\":\"b\"";
         break;
       case TracePhase::kEnd:
-        n = std::snprintf(buf, sizeof(buf),
-                          ",\n{\"ph\":\"e\",\"pid\":1,\"tid\":%zu,\"ts\":%" PRId64
-                          ",\"name\":\"%s\",\"cat\":\"%s\",\"id\":\"0x%" PRIx64 "\"",
-                          tid, event.when.micros(), name, cat, event.flow);
+        out += ",\n{\"ph\":\"e\"";
         break;
       case TracePhase::kComplete:
-        n = std::snprintf(buf, sizeof(buf),
-                          ",\n{\"ph\":\"X\",\"pid\":1,\"tid\":%zu,\"ts\":%" PRId64
-                          ",\"dur\":%" PRId64 ",\"name\":\"%s\",\"cat\":\"%s\"",
-                          tid, event.when.micros(), event.dur.micros(), name, cat);
+        out += ",\n{\"ph\":\"X\"";
         break;
     }
-    TIGER_DCHECK(n > 0 && static_cast<size_t>(n) < sizeof(buf));
-    out.append(buf, static_cast<size_t>(n));
-    out += ",\"args\":{";
-    bool first = true;
-    auto arg = [&](const char* key, int64_t value) {
-      if (!first) {
-        out.push_back(',');
-      }
-      first = false;
-      int m = std::snprintf(buf, sizeof(buf), "\"%s\":%" PRId64, key, value);
-      out.append(buf, static_cast<size_t>(m));
-    };
-    arg("seq", static_cast<int64_t>(event.seq));
+    out += ",\"pid\":1,\"tid\":";
+    AppendInt(&out, static_cast<size_t>(event.track) + 1);
+    out += ",\"ts\":";
+    AppendInt(&out, event.when.micros());
+    if (event.phase == TracePhase::kComplete) {
+      out += ",\"dur\":";
+      AppendInt(&out, event.dur.micros());
+    }
+    out += ",\"name\":\"";
+    out += TypeName(event.type);
+    out += "\",\"cat\":\"";
+    out += TypeCategory(event.type);
+    out.push_back('"');
+    switch (event.phase) {
+      case TracePhase::kInstant:
+        out += ",\"s\":\"t\"";
+        break;
+      case TracePhase::kBegin:
+      case TracePhase::kEnd:
+        out += ",\"id\":\"0x";
+        AppendHex(&out, event.flow);
+        out.push_back('"');
+        break;
+      case TracePhase::kComplete:
+        break;
+    }
+    out += ",\"args\":{\"seq\":";
+    AppendInt(&out, static_cast<int64_t>(event.seq));
     if (event.args.viewer >= 0) {
-      arg("viewer", event.args.viewer);
+      out += ",\"viewer\":";
+      AppendInt(&out, event.args.viewer);
     }
     if (event.args.slot >= 0) {
-      arg("slot", event.args.slot);
+      out += ",\"slot\":";
+      AppendInt(&out, event.args.slot);
     }
     if (event.args.a != -1) {
-      arg("a", event.args.a);
+      out += ",\"a\":";
+      AppendInt(&out, event.args.a);
     }
     if (event.args.b != -1) {
-      arg("b", event.args.b);
+      out += ",\"b\":";
+      AppendInt(&out, event.args.b);
     }
     out += "}}";
   }

@@ -44,12 +44,13 @@ struct Ring {
   // Each cub's entry-slab capacity as built, before any record landed.
   std::vector<size_t> reserved_slab;
 
-  explicit Ring(uint64_t seed) {
+  // The schedule-management cases run with the data plane off: it would
+  // dominate the event budget without touching the path under test. The
+  // data-plane case turns it on.
+  explicit Ring(uint64_t seed, bool data_plane = false) {
     TigerConfig config;
     config.shape.num_cubs = kCubs;
-    // The data plane would dominate the event budget without touching the
-    // schedule-management path under test.
-    config.simulate_data_plane = false;
+    config.simulate_data_plane = data_plane;
     system = std::make_unique<TigerSystem>(config, seed);
     for (int c = 0; c < kCubs; ++c) {
       reserved_slab.push_back(system->cub(CubId(static_cast<uint32_t>(c))).view().slab_capacity());
@@ -66,6 +67,16 @@ struct Ring {
     EXPECT_EQ(made, streams);
     system->Start();
     system->RunUntil(TimePoint::Zero() + kWarmup);
+  }
+
+  int64_t DiskReads() {
+    int64_t reads = 0;
+    const int disks = system->config().shape.TotalDisks();
+    for (int d = 0; d < disks; ++d) {
+      const SimulatedDisk& disk = system->disk(DiskId(static_cast<uint32_t>(d)));
+      reads += disk.reads_completed() + disk.read_errors();
+    }
+    return reads;
   }
 
   // Runs one measurement window and returns (allocations, events).
@@ -99,6 +110,33 @@ TEST(AllocRegressionTest, WarmRingRunsAllocationFree) {
   }
   EXPECT_EQ(min_allocs, 0u) << "protocol hot path allocated " << min_allocs << " times across "
                             << events << " events; the steady-state contract is zero";
+}
+
+// The data plane: every block a stream plays is a simulated disk read whose
+// completion callback (SimulatedDisk::Completion) and service timer must
+// both fit inline, and whose queue must reuse its storage. A read costs
+// zero heap allocations once the ring is warm; the schedule-management
+// cases above run with the data plane off and cannot see this path.
+TEST(AllocRegressionTest, WarmDataPlaneReadsAllocateNothing) {
+  if (!AllocCountingEnabled()) {
+    GTEST_SKIP() << "build with -DTIGER_COUNT_ALLOCS=ON to measure allocations";
+  }
+  Ring ring(1, /*data_plane=*/true);
+  uint64_t min_allocs = ~0ull;
+  int64_t reads = 0;
+  for (int w = 0; w < kWindows; ++w) {
+    const int64_t reads_before = ring.DiskReads();
+    auto [allocs, window_events] = ring.MeasureWindow();
+    const int64_t window_reads = ring.DiskReads() - reads_before;
+    // A 90%-loaded 14-cub ring reads hundreds of blocks per 4s window.
+    EXPECT_GT(window_reads, 500) << "data plane unexpectedly idle";
+    if (allocs < min_allocs) {
+      min_allocs = allocs;
+      reads = window_reads;
+    }
+  }
+  EXPECT_EQ(min_allocs, 0u) << "data plane allocated " << min_allocs << " times across " << reads
+                            << " disk reads; the steady-state contract is zero per read";
 }
 
 // The view's entry slab is reserved for its working set (Cub's

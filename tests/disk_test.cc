@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "src/disk/disk.h"
@@ -121,6 +124,84 @@ TEST(DiskTest, FifoIgnoresDeadlines) {
                   TimePoint::FromMicros(5000000));
   sim.Run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+// Reads submitted while others are queued and in service complete in
+// arrival order, across the queue's growth and the reclaiming of its popped
+// prefix.
+TEST(DiskTest, InterleavedSubmissionsCompleteInArrivalOrder) {
+  Simulator sim;
+  SimulatedDisk disk(&sim, "d0", DiskId(0), UltrastarModel(), Rng(7));
+  std::vector<int> order;
+  int submitted = 0;
+  std::function<void()> submit = [&] {
+    const int i = submitted++;
+    disk.SubmitRead(DiskZone::kOuter, 262144, [&, i](bool) {
+      order.push_back(i);
+      // Each completion queues two more until 300 reads, then one in three.
+      for (int more = 0; more < (submitted < 300 ? 2 : (i % 3 == 0 ? 1 : 0)); ++more) {
+        if (submitted < 400) {
+          submit();
+        }
+      }
+    });
+  };
+  for (int i = 0; i < 3; ++i) {
+    submit();
+  }
+  sim.Run();
+  std::vector<int> expected(static_cast<size_t>(submitted));
+  for (int i = 0; i < submitted; ++i) {
+    expected[static_cast<size_t>(i)] = i;
+  }
+  EXPECT_GT(submitted, 300);
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(disk.queue_depth(), 0u);
+}
+
+// Earliest-deadline-first picks from the middle of the queue; the rest keep
+// their arrival order, so equal deadlines go first-come first-served.
+TEST(DiskTest, EarliestDeadlineFirstAcrossALongQueue) {
+  Simulator sim;
+  SimulatedDisk disk(&sim, "d0", DiskId(0), UltrastarModel(), Rng(8));
+  disk.set_discipline(DiskQueueDiscipline::kEarliestDeadlineFirst);
+  std::vector<std::pair<int64_t, int>> order;
+  std::vector<std::pair<int64_t, int>> expected;
+  Rng rng(9);
+  for (int i = 0; i < 40; ++i) {
+    const int64_t deadline = rng.UniformInt(1, 8) * 1000000;
+    disk.SubmitRead(DiskZone::kOuter, 262144,
+                    [&order, deadline, i](bool) { order.emplace_back(deadline, i); },
+                    TimePoint::FromMicros(deadline));
+    if (i > 0) {
+      expected.emplace_back(deadline, i);  // Read 0 is in service at once.
+    }
+  }
+  EXPECT_EQ(disk.queue_depth(), 40u);
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& x, const auto& y) { return x.first < y.first; });
+  sim.Run();
+  ASSERT_EQ(order.size(), 40u);
+  EXPECT_EQ(order[0].second, 0);
+  order.erase(order.begin());
+  EXPECT_EQ(order, expected);
+}
+
+// A cub's read completion captures the cub, the entry ref, the byte count
+// and the block-cache key (48 bytes); it must be stored inline, or every
+// simulated read would heap-allocate its callback.
+TEST(DiskTest, CubSizedCompletionIsStoredInline) {
+  struct Capture {
+    void* cub;
+    uint64_t ref;
+    int64_t bytes;
+    uint32_t file;
+    int64_t position;
+    int32_t fragment;
+  } capture{};
+  static_assert(sizeof(Capture) == 48);
+  SimulatedDisk::Completion done([capture](bool) { (void)capture; });
+  EXPECT_TRUE(done.is_inline());
 }
 
 TEST(DiskModelTest, ServiceBudgetExceedsMean) {
