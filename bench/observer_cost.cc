@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -38,8 +39,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// The same seed derivation as the repository benchmark, so a seed names the
-// same victim, cut time and viewer placement there and here.
+// The same seed derivation and draw order as the repository benchmark, so a
+// seed names the same victim, cut time and viewer placement there and here:
+// the `none` run's events_window equals `tiger_perfbench --mode noobs`.
 uint64_t Mix(uint64_t seed, uint64_t salt) {
   uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (salt + 1);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -121,25 +123,40 @@ int Main(int argc, char** argv) {
   if (auditor) {
     auditor->Start();
   }
-  // Every viewer's one play starts during warm-up at a random position far
-  // enough from its file's end that no play finishes before the run ends.
+  // The benchmark's viewer fleet, without churn: every start delay is drawn
+  // first, each play's file and position when it fires, and a 100 ms tick
+  // loops a finished play onto a fresh file, all from one Rng. No play starts
+  // close enough to its file's end to finish before the run ends.
+  const Duration kTick = Duration::Millis(100);
   Rng fleet_rng(Mix(seed, 6));
   const int64_t clear_blocks = (kWarmup + kWindow) / config.block_play_time;
+  auto pick_file = [&] { return files[fleet_rng.PickIndex(files.size())]; };
   std::vector<std::unique_ptr<ViewerClient>> viewers;
+  std::vector<uint8_t> started(static_cast<size_t>(streams), 0);
   for (int i = 0; i < streams; ++i) {
     auto viewer = std::make_unique<ViewerClient>(&system.sim(),
                                                  ViewerId(static_cast<uint32_t>(i + 1)),
                                                  &system.config(), &system.catalog(), &system.net());
     viewer->SetAddressBook(&system.addresses());
     viewer->SetQosLedger(system.qos_sink());
-    ViewerClient* v = viewer.get();
     viewers.push_back(std::move(viewer));
     const Duration delay = fleet_rng.UniformDuration(Duration::Zero(), Duration::Seconds(20));
-    const FileId file = files[fleet_rng.PickIndex(files.size())];
-    const int64_t blocks = system.catalog().Get(file).block_count;
-    const int64_t position = fleet_rng.UniformInt(0, blocks - 1 - clear_blocks);
-    system.sim().ScheduleAfter(delay, [v, file, position] { v->RequestPlay(file, position); });
+    system.sim().ScheduleAfter(delay, [&, v = static_cast<size_t>(i)] {
+      const FileId file = pick_file();
+      const int64_t blocks = system.catalog().Get(file).block_count;
+      viewers[v]->RequestPlay(file, fleet_rng.UniformInt(0, blocks - 1 - clear_blocks));
+      started[v] = 1;
+    });
   }
+  std::function<void()> tick = [&] {
+    for (size_t i = 0; i < viewers.size(); ++i) {
+      if (started[i] && !viewers[i]->playing() && !viewers[i]->paused()) {
+        viewers[i]->RequestPlay(pick_file(), 0);
+      }
+    }
+    system.sim().ScheduleAfter(kTick, [&tick] { tick(); });
+  };
+  system.sim().ScheduleAfter(kTick, [&tick] { tick(); });
 
   auto t = Clock::now();
   testbed.RunUntil(TimePoint::Zero() + kWarmup);

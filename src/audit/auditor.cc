@@ -167,38 +167,10 @@ ScheduleAuditor::ChainState& ScheduleAuditor::GetChain(const ViewerStateRecord& 
     chain_order_.push_back(id);
     viewer_chains_[record.viewer.value()].push_back(id);
     instance_chains_[record.instance.value()].push_back(id);
-    chain.last_evidence = when;
-    LinkChain(&chain);
-  } else if (&chain != newest_chain_ || when < chain.last_evidence) {
-    UnlinkChain(&chain);
-    chain.last_evidence = when;
-    LinkChain(&chain);
-  } else {
-    chain.last_evidence = when;  // Already newest; stays in place.
   }
+  chain.last_evidence = when;
   chain.max_seq_seen = std::max(chain.max_seq_seen, record.sequence);
   return chain;
-}
-
-void ScheduleAuditor::UnlinkChain(ChainState* chain) {
-  (chain->older != nullptr ? chain->older->newer : oldest_chain_) = chain->newer;
-  (chain->newer != nullptr ? chain->newer->older : newest_chain_) = chain->older;
-  chain->older = nullptr;
-  chain->newer = nullptr;
-}
-
-void ScheduleAuditor::LinkChain(ChainState* chain) {
-  // Evidence arrives in time order, so this is the newest end; the walk back
-  // only runs for evidence stamped earlier than the newest chain's.
-  ChainState* older = newest_chain_;
-  while (older != nullptr && older->last_evidence > chain->last_evidence) {
-    older = older->older;
-  }
-  ChainState* newer = older != nullptr ? older->newer : oldest_chain_;
-  chain->older = older;
-  chain->newer = newer;
-  (older != nullptr ? older->newer : oldest_chain_) = chain;
-  (newer != nullptr ? newer->older : newest_chain_) = chain;
 }
 
 void ScheduleAuditor::CheckArithmetic(ChainState& chain, const ViewerStateRecord& record,
@@ -639,18 +611,16 @@ void ScheduleAuditor::PruneState(TimePoint now) {
   if (options_.chain_retention <= Duration::Zero()) {
     return;
   }
-  // Oldest evidence first; everything from the first chain still inside the
-  // retention window on is newer still. A chain with forwards pending stays
-  // (only when retention is shorter than lost_horizon can one be this old).
-  for (ChainState* chain = oldest_chain_;
-       chain != nullptr && chain->last_evidence + options_.chain_retention < now;) {
-    ChainState* newer = chain->newer;
-    if (chain->pending.empty()) {
-      UnlinkChain(chain);
+  // A chain with forwards pending stays (only when retention is shorter than
+  // lost_horizon can one be this old).
+  for (auto it = chains_.begin(); it != chains_.end();) {
+    ChainState& chain = it->second;
+    if (chain.pending.empty() && chain.last_evidence + options_.chain_retention < now) {
       chains_pruned_++;
-      chains_.erase(chain->id);
+      it = chains_.erase(it);
+    } else {
+      ++it;
     }
-    chain = newer;
   }
 }
 

@@ -324,9 +324,6 @@ class ScheduleAuditor : public Actor, public AuditObserver {
     uint64_t request_chain = 0;
     int64_t max_seq_seen = 0;
     TimePoint last_evidence;
-    // Neighbours in the chain recency list (oldest last_evidence first).
-    ChainState* older = nullptr;
-    ChainState* newer = nullptr;
     HopLog hops;
     // Forwards not yet confirmed received, keyed by seq * 256 + fragment + 1.
     std::map<int64_t, PendingForward, std::less<int64_t>,
@@ -382,13 +379,8 @@ class ScheduleAuditor : public Actor, public AuditObserver {
   // microseconds — identical to the cubs' non-drifting spacing arithmetic.
   int64_t FragOffsetUs(int32_t fragment) const;
 
-  // Finds or creates the record's chain and stamps its last evidence,
-  // moving it to the newest end of the recency list.
+  // Finds or creates the record's chain and stamps its last evidence.
   ChainState& GetChain(const ViewerStateRecord& record, TimePoint when);
-  void UnlinkChain(ChainState* chain);
-  // Links `chain` into the recency list by its last_evidence: at the newest
-  // end, or further back if evidence arrived out of time order.
-  void LinkChain(ChainState* chain);
   // Verifies `record` against the chain's shared arithmetic, introducing
   // anchors/lanes when absent. `cub` scopes any flagged divergence.
   void CheckArithmetic(ChainState& chain, const ViewerStateRecord& record,
@@ -434,10 +426,6 @@ class ScheduleAuditor : public Actor, public AuditObserver {
   // Items a check resolves, sorted into the canonical order (see
   // ResolvePendingForwards); kept to reuse capacity.
   std::vector<PendingDue> due_scratch_;
-  // Chain recency list, oldest last_evidence first: pruning pops the oldest
-  // end and stops at the first chain still inside the retention window.
-  ChainState* oldest_chain_ = nullptr;
-  ChainState* newest_chain_ = nullptr;
 
   std::vector<Divergence> divergences_;
   int64_t counts_[static_cast<size_t>(DivergenceClass::kClassCount)] = {};

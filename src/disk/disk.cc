@@ -1,6 +1,5 @@
 #include "src/disk/disk.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/sim/shard_engine.h"
@@ -14,12 +13,6 @@ void SimulatedDisk::SubmitRead(DiskZone zone, int64_t bytes, Completion done,
   }
   TIGER_CHECK(bytes > 0);
   TIGER_CHECK(done != nullptr);
-  if (queue_.size() == queue_.capacity() && queue_head_ * 2 >= queue_.size()) {
-    // Reclaim the popped prefix instead of growing. It is at least half the
-    // vector, so the move is paid for by the pops that made it.
-    queue_.erase(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(queue_head_));
-    queue_head_ = 0;
-  }
   queue_.push_back(Request{zone, bytes, std::move(done), deadline});
   if (!busy_) {
     StartNext();
@@ -27,34 +20,23 @@ void SimulatedDisk::SubmitRead(DiskZone zone, int64_t bytes, Completion done,
 }
 
 SimulatedDisk::Request SimulatedDisk::PopNext() {
-  TIGER_DCHECK(queue_head_ < queue_.size());
-  size_t pick = queue_head_;
+  TIGER_DCHECK(!queue_.empty());
+  size_t pick = 0;
   if (discipline_ == DiskQueueDiscipline::kEarliestDeadlineFirst) {
-    for (size_t i = queue_head_; i < queue_.size(); ++i) {
+    for (size_t i = 1; i < queue_.size(); ++i) {
       if (queue_[i].deadline < queue_[pick].deadline) {
         pick = i;
       }
     }
   }
   Request request = std::move(queue_[pick]);
-  if (pick == queue_head_) {
-    ++queue_head_;
-  } else {
-    // Close the gap, keeping the rest in arrival order.
-    std::move(queue_.begin() + static_cast<std::ptrdiff_t>(pick) + 1, queue_.end(),
-              queue_.begin() + static_cast<std::ptrdiff_t>(pick));
-    queue_.pop_back();
-  }
-  if (queue_head_ == queue_.size()) {
-    queue_.clear();
-    queue_head_ = 0;
-  }
+  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pick));
   return request;
 }
 
 void SimulatedDisk::StartNext() {
   TIGER_DCHECK(!busy_);
-  if (queue_head_ == queue_.size() || halted()) {
+  if (queue_.empty() || halted()) {
     return;
   }
   in_service_ = PopNext();
@@ -99,7 +81,6 @@ void SimulatedDisk::StartNext() {
 void SimulatedDisk::Halt() {
   Actor::Halt();
   queue_.clear();
-  queue_head_ = 0;
   in_service_.done.Reset();
   busy_ = false;
 }

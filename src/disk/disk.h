@@ -77,7 +77,7 @@ class SimulatedDisk : public Actor {
   // usual throughput after entering thermal recalibration).
   void InjectLimp(TimePoint start, TimePoint end, int64_t num, int64_t den = 1);
 
-  size_t queue_depth() const { return queue_.size() - queue_head_ + (busy_ ? 1 : 0); }
+  size_t queue_depth() const { return queue_.size() + (busy_ ? 1 : 0); }
   int64_t reads_completed() const { return reads_completed_; }
   int64_t read_errors() const { return read_errors_; }
   int64_t bytes_read() const { return bytes_read_; }
@@ -103,13 +103,10 @@ class SimulatedDisk : public Actor {
   DiskModel model_;
   Rng rng_;
   DiskQueueDiscipline discipline_ = DiskQueueDiscipline::kFifo;
-  // Queued requests are queue_[queue_head_, end): a pop advances the head,
-  // and the dead prefix is reclaimed when the queue drains, or instead of
-  // growing once it is half the vector. Steady-state reads reuse its
-  // capacity, where a std::deque frees and reallocates a chunk every few
-  // requests.
+  // Queued requests in arrival order. A pop erases in place, so steady-state
+  // reads reuse the vector's capacity, where a std::deque frees and
+  // reallocates a chunk every few requests.
   std::vector<Request> queue_;
-  size_t queue_head_ = 0;
   // The request being serviced while busy_: the service timer captures only
   // {this, start, ok}, small enough to schedule without boxing.
   Request in_service_;

@@ -1,14 +1,15 @@
 // ScheduleAuditor's expiry-indexed checks and bounded lineage log.
 //
 // A check resolves pending forwards from a FIFO by first send, orphan kill
-// candidates from a FIFO by deadline, slot claims from an expiry heap and
-// chains from a recency list, instead of walking every chain, kill and slot.
-// The equivalence tests below drive seeded random evidence streams through
-// the auditor and through WalkingModel, a copy of the pre-index auditor's
-// bookkeeping that still walks everything on every check, and require every
-// count_by_class and info counter to agree after each check. The lineage
-// tests pin the ring: a chain longer than max_hops_per_chain keeps its newest
-// hops, and its dropped() count is exactly the evicted ones.
+// candidates from a FIFO by deadline and slot claims from an expiry heap,
+// instead of walking every chain, kill and slot; only the chain prune still
+// walks every chain. The equivalence tests below drive seeded random
+// evidence streams through the auditor and through WalkingModel, a copy of
+// the pre-index auditor's bookkeeping that still walks everything on every
+// check, and require every count_by_class and info counter to agree after
+// each check. The lineage tests pin the ring: a chain longer than
+// max_hops_per_chain keeps its newest hops, and its dropped() count is
+// exactly the evicted ones.
 
 #include <gtest/gtest.h>
 

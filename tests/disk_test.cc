@@ -127,8 +127,7 @@ TEST(DiskTest, FifoIgnoresDeadlines) {
 }
 
 // Reads submitted while others are queued and in service complete in
-// arrival order, across the queue's growth and the reclaiming of its popped
-// prefix.
+// arrival order, across the queue's growth and drain.
 TEST(DiskTest, InterleavedSubmissionsCompleteInArrivalOrder) {
   Simulator sim;
   SimulatedDisk disk(&sim, "d0", DiskId(0), UltrastarModel(), Rng(7));
