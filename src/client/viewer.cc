@@ -1,5 +1,6 @@
 #include "src/client/viewer.h"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -16,6 +17,8 @@ constexpr Duration kLateTolerance = Duration::Millis(500);
 // A block not complete this long past its position is declared lost.
 constexpr Duration kLossTolerance = Duration::Seconds(2);
 constexpr Duration kCheckInterval = Duration::Seconds(1);
+// Initial progress-window span; a power of two, grown by doubling.
+constexpr size_t kInitialWindow = 8;
 
 }  // namespace
 
@@ -25,7 +28,8 @@ ViewerClient::ViewerClient(Simulator* sim, ViewerId id, const TigerConfig* confi
       id_(id),
       config_(config),
       catalog_(catalog),
-      net_(net) {
+      net_(net),
+      window_(kInitialWindow) {
   address_ = net_->Attach(this, name(), config->client_nic_bps);
 }
 
@@ -53,8 +57,10 @@ void ViewerClient::RequestPlay(FileId file, int64_t start_position) {
              std::move(request));
 
   if (!check_timer_running_) {
-    check_timer_running_ = true;
-    After(kCheckInterval, [this] { CheckDeadlines(); });
+    // A new chain: no loss can be declared before kLossTolerance from now,
+    // however early the first block lands.
+    grid_anchor_ = Now();
+    ArmCheck(GridTickAtOrAfter(Now() + kLossTolerance));
   }
 }
 
@@ -134,7 +140,13 @@ void ViewerClient::OnBlockData(const BlockDataMsg& msg) {
   if (position < play.check_cursor) {
     return;  // Already accounted (probably as lost).
   }
-  BlockProgress& progress = play.progress[position];
+  if (position >= play.blocks_expected) {
+    return;  // Past the end of this play; not a block of this file.
+  }
+  if (position - play.check_cursor >= static_cast<int64_t>(window_.size())) {
+    GrowWindow(position - play.check_cursor + 1);
+  }
+  BlockProgress& progress = ProgressOf(position);
   if (progress.complete) {
     return;
   }
@@ -182,12 +194,10 @@ void ViewerClient::RetireBlocks() {
   }
   // Retire completed positions and positions whose loss deadline has passed.
   while (play.check_cursor < play.blocks_expected) {
-    const TimePoint deadline = *play.first_block_complete +
-                               config_->block_play_time * play.check_cursor + kLossTolerance;
-    auto it = play.progress.find(play.check_cursor);
-    const bool complete = it != play.progress.end() && it->second.complete;
-    if (complete) {
-      play.progress.erase(it);
+    const TimePoint deadline = LossDeadline(play);
+    BlockProgress& progress = ProgressOf(play.check_cursor);
+    if (progress.complete) {
+      progress = BlockProgress{};
       play.check_cursor++;
       continue;
     }
@@ -201,9 +211,7 @@ void ViewerClient::RetireBlocks() {
       ShardEngine::JournalCall(qos_, &QosLedger::RecordClientLost, Now(), id_,
                                play.start_position + play.check_cursor);
     }
-    if (it != play.progress.end()) {
-      play.progress.erase(it);
-    }
+    progress = BlockProgress{};
     play.check_cursor++;
   }
   if (play.check_cursor >= play.blocks_expected) {
@@ -211,13 +219,48 @@ void ViewerClient::RetireBlocks() {
   }
 }
 
+void ViewerClient::GrowWindow(int64_t span) {
+  const int64_t cursor = play_->check_cursor;
+  size_t size = window_.size() * 2;
+  while (static_cast<int64_t>(size) < span) {
+    size *= 2;
+  }
+  std::vector<BlockProgress> grown(size);
+  for (int64_t p = cursor; p < cursor + static_cast<int64_t>(window_.size()); ++p) {
+    grown[static_cast<size_t>(p) & (size - 1)] = ProgressOf(p);
+  }
+  window_ = std::move(grown);
+}
+
 void ViewerClient::CheckDeadlines() {
   check_timer_running_ = false;
   RetireBlocks();
-  if (play_.has_value()) {
-    check_timer_running_ = true;
-    After(kCheckInterval, [this] { CheckDeadlines(); });
+  if (!play_.has_value()) {
+    return;  // The chain stops; the next play starts a new grid.
   }
+  // Every tick before the cursor's loss deadline would find nothing to
+  // retire: the cursor's block is incomplete and not yet overdue, and later
+  // blocks only complete through OnBlockData, which retires them itself.
+  const TimePoint earliest_loss =
+      play_->first_block_complete.has_value() ? LossDeadline(*play_) : Now() + kLossTolerance;
+  ArmCheck(GridTickAtOrAfter(earliest_loss));
+}
+
+TimePoint ViewerClient::LossDeadline(const ActivePlay& play) const {
+  return *play.first_block_complete + config_->block_play_time * play.check_cursor +
+         kLossTolerance;
+}
+
+TimePoint ViewerClient::GridTickAtOrAfter(TimePoint t) const {
+  const int64_t interval = kCheckInterval.micros();
+  const int64_t ticks = ((t - grid_anchor_).micros() + interval - 1) / interval;
+  return grid_anchor_ + kCheckInterval * std::max<int64_t>(ticks, 1);
+}
+
+void ViewerClient::ArmCheck(TimePoint at) {
+  check_timer_running_ = true;
+  check_at_ = at;
+  check_timer_ = At(at, [this] { CheckDeadlines(); });
 }
 
 void ViewerClient::FinishPlay(bool completed) {
@@ -225,6 +268,16 @@ void ViewerClient::FinishPlay(bool completed) {
     stats_.plays_completed++;
   }
   play_.reset();
+  std::fill(window_.begin(), window_.end(), BlockProgress{});
+  // The next tick decides whether the chain goes on (a new play by then) or
+  // stops, so a check skipped past it must be pulled back.
+  if (check_timer_running_) {
+    const TimePoint next_tick = GridTickAtOrAfter(Now() + Duration::Micros(1));
+    if (check_at_ > next_tick) {
+      CancelTimer(check_timer_);
+      ArmCheck(next_tick);
+    }
+  }
   if (picker_) {
     After(think_time_ + Duration::Millis(1), [this] {
       if (!play_.has_value()) {

@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "src/common/ids.h"
 #include "src/core/address_book.h"
@@ -101,12 +101,24 @@ class ViewerClient : public Actor, public NetworkEndpoint {
     int64_t blocks_expected = 0;
     // Next position whose deadline has not yet been checked.
     int64_t check_cursor = 0;
-    std::unordered_map<int64_t, BlockProgress> progress;
   };
 
   void OnBlockData(const BlockDataMsg& msg);
+  // Progress of play-relative `position`, which must lie in
+  // [check_cursor, check_cursor + window_.size()).
+  BlockProgress& ProgressOf(int64_t position) {
+    return window_[static_cast<size_t>(position) & (window_.size() - 1)];
+  }
+  // Grows the window to cover `span` positions from the cursor.
+  void GrowWindow(int64_t span);
   void RetireBlocks();
+  // When the cursor's block is declared lost if still incomplete. Requires
+  // the first block to have landed.
+  TimePoint LossDeadline(const ActivePlay& play) const;
   void CheckDeadlines();
+  // The first tick of the check grid at or after `t`.
+  TimePoint GridTickAtOrAfter(TimePoint t) const;
+  void ArmCheck(TimePoint at);
   void FinishPlay(bool completed);
 
   ViewerId id_;
@@ -126,7 +138,20 @@ class ViewerClient : public Actor, public NetworkEndpoint {
   std::vector<TimePoint> loss_times_;
   // Set while paused: (file, next block to watch).
   std::optional<std::pair<FileId, int64_t>> paused_position_;
+  // The active play's block progress, a ring indexed by play-relative
+  // position: it covers [check_cursor, check_cursor + size()), its size is a
+  // power of two, and a retired slot is reset for reuse. It keeps its
+  // capacity across plays, so a warm viewer receives blocks without
+  // allocating.
+  std::vector<BlockProgress> window_;
+  // Deadline checks run on a grid of kCheckInterval ticks anchored where the
+  // chain of checks started, but only on the ticks that can declare a loss:
+  // the first tick at or after the retire cursor's loss deadline. A chain
+  // stops at the first tick that finds no play.
   bool check_timer_running_ = false;
+  TimerId check_timer_ = kInvalidTimer;
+  TimePoint check_at_;
+  TimePoint grid_anchor_;
 };
 
 }  // namespace tiger

@@ -151,6 +151,10 @@ void Cub::Start() {
 }
 
 void Cub::Fail() {
+  // A dead machine returns nothing more to its pool: buffers whose transfer
+  // had ended come back now, the rest stay out until Rejoin resets the pool.
+  FreeBuffer(buffer_returns_.TakeDue(Now()));
+  buffer_returns_.Clear();
   Halt();
   net_->SetNodeUp(address_, false);
 }
@@ -171,6 +175,7 @@ void Cub::Rejoin() {
   failure_view_ = FailureView(config_->shape);
   cache_ = BlockCache(config_->block_cache_bytes);
   free_buffer_bytes_ = config_->buffer_pool_bytes;
+  buffer_returns_.Clear();
   start_queues_.clear();
   ticking_disks_.clear();
   redundant_starts_.clear();
@@ -440,6 +445,7 @@ void Cub::IssueRead(EntryRef ref) {
     entry->block_ready = true;
     return;
   }
+  FreeBuffer(buffer_returns_.TakeDue(Now()));
   if (free_buffer_bytes_ < bytes) {
     counters_.buffer_stalls++;
     if (Now() + kBufferRetry < record.due) {
@@ -556,9 +562,7 @@ void Cub::SendBlock(EntryRef ref) {
     net_->SendPaced(address_, record.client_address, content, record.bitrate_bps,
                     std::move(data));
     if (entry->buffer_held) {
-      const int64_t buffer_bytes = ReadBytesFor(record);
-      After(TransferTime(content, record.bitrate_bps),
-            [this, buffer_bytes] { FreeBuffer(buffer_bytes); });
+      buffer_returns_.Add(Now() + TransferTime(content, record.bitrate_bps), ReadBytesFor(record));
     }
   }
 }
@@ -566,6 +570,12 @@ void Cub::SendBlock(EntryRef ref) {
 void Cub::FreeBuffer(int64_t bytes) {
   free_buffer_bytes_ += bytes;
   TIGER_DCHECK(free_buffer_bytes_ <= config_->buffer_pool_bytes);
+}
+
+int64_t Cub::free_buffer_bytes() const {
+  const int64_t free = free_buffer_bytes_ + buffer_returns_.DueBy(Now());
+  TIGER_DCHECK(free <= config_->buffer_pool_bytes);
+  return free;
 }
 
 int64_t Cub::ReadBytesFor(const ViewerStateRecord& record) const {

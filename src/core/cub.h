@@ -25,6 +25,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "src/common/due_amounts.h"
 #include "src/common/ids.h"
 #include "src/common/rng.h"
 #include "src/core/address_book.h"
@@ -135,7 +136,9 @@ class Cub : public Actor, public NetworkEndpoint {
   const CumulativeMeter& cpu_meter() const { return cpu_; }
   const FailureView& failure_view() const { return failure_view_; }
   const BlockCache& block_cache() const { return cache_; }
-  int64_t free_buffer_bytes() const { return free_buffer_bytes_; }
+  // Buffer pool bytes not holding a block. A block whose paced transfer has
+  // ended counts as returned, whether or not anything has reclaimed it yet.
+  int64_t free_buffer_bytes() const;
   size_t queued_start_requests() const;
   // When this cub last saw a viewer state of `instance`; nullopt once the
   // sighting has aged out (or never happened).
@@ -293,6 +296,10 @@ class Cub : public Actor, public NetworkEndpoint {
   CumulativeMeter cpu_;
 
   int64_t free_buffer_bytes_ = 0;
+  // Buffers of blocks on the wire, by transfer end; not counted in
+  // free_buffer_bytes_. Taken back before a read decides on the free count,
+  // instead of by one timer per block.
+  DueAmounts buffer_returns_;
   // All steady-churn containers below draw from the thread-local payload pool
   // so insert/erase cycles recycle nodes instead of hitting the heap.
   using StartQueue = std::deque<PendingStart, PoolAllocator<PendingStart>>;

@@ -121,9 +121,13 @@ void Network::SendPaced(NetAddress src, NetAddress dst, int64_t bytes, int64_t p
   TIGER_CHECK(bytes > 0);
   TIGER_CHECK(pace_bps > 0);
   Simulator* src_sim = SimOf(src);
-  sender.data_bytes_sent.Add(src_sim->Now(), static_cast<double>(bytes));
+  const TimePoint now = src_sim->Now();
+  sender.data_bytes_sent.Add(now, static_cast<double>(bytes));
 
-  // Commit NIC bandwidth for the duration of the paced transfer.
+  // Commit NIC bandwidth for the duration of the paced transfer, after
+  // returning the shares of transfers that have already ended.
+  sender.committed_data_bps -= sender.releases.TakeDue(now);
+  TIGER_DCHECK(sender.committed_data_bps >= 0);
   sender.committed_data_bps += pace_bps;
   sender.peak_data_bps = std::max(sender.peak_data_bps, sender.committed_data_bps);
   if (sender.committed_data_bps > sender.nic_bps) {
@@ -134,18 +138,14 @@ void Network::SendPaced(NetAddress src, NetAddress dst, int64_t bytes, int64_t p
   // nominal end: back-to-back schedule windows share an exact boundary
   // instant, and without this the release and the next commit at the same
   // timestamp would transiently double-count. NIC state is source-local, so
-  // the release timer stays on the source shard's loop.
+  // the releases are filed on the source node and taken back on its shard.
   Duration release_after = pace_time - Duration::Micros(1);
   if (release_after < Duration::Zero()) {
     release_after = Duration::Zero();
   }
-  src_sim->ScheduleAfter(release_after, [this, src, pace_bps]() {
-    Node& node = NodeRef(src);
-    node.committed_data_bps -= pace_bps;
-    TIGER_DCHECK(node.committed_data_bps >= 0);
-  });
+  sender.releases.Add(now + release_after, pace_bps);
 
-  TimePoint arrival = src_sim->Now() + pace_time + config_.base_latency;
+  TimePoint arrival = now + pace_time + config_.base_latency;
   if (config_.jitter > Duration::Zero()) {
     arrival += DiceFor(ShardOfNode(src)).UniformDuration(Duration::Zero(), config_.jitter);
   }
@@ -227,7 +227,10 @@ int64_t Network::ControlMessagesSent(NetAddress node) const {
 }
 
 int64_t Network::CurrentDataRate(NetAddress node) const {
-  return NodeRef(node).committed_data_bps;
+  const Node& n = NodeRef(node);
+  const int64_t rate = n.committed_data_bps - n.releases.DueBy(SimOf(node)->Now());
+  TIGER_DCHECK(rate >= 0);
+  return rate;
 }
 
 int64_t Network::PeakDataRate(NetAddress node) const { return NodeRef(node).peak_data_bps; }

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/common/due_amounts.h"
 #include "src/common/rng.h"
 #include "src/common/time.h"
 #include "src/common/units.h"
@@ -169,7 +170,9 @@ class Network : public MessageBus {
   const CumulativeMeter& ControlBytesSent(NetAddress node) const;
   const CumulativeMeter& DataBytesSent(NetAddress node) const;
   int64_t ControlMessagesSent(NetAddress node) const;
-  // Committed data-plane rate on the node's NIC right now, bits/sec.
+  // Committed data-plane rate on the node's NIC right now, bits/sec. A
+  // transfer whose release instant is at or before now counts as released,
+  // whether or not anything has settled it yet.
   int64_t CurrentDataRate(NetAddress node) const;
   // Highest committed data rate ever observed on the node's NIC.
   int64_t PeakDataRate(NetAddress node) const;
@@ -187,7 +190,11 @@ class Network : public MessageBus {
     CumulativeMeter control_bytes_sent;
     CumulativeMeter data_bytes_sent;
     int64_t control_messages_sent = 0;
+    // Includes shares in `releases` that are due but not yet taken back.
     int64_t committed_data_bps = 0;
+    // In-flight transfers' shares, by release instant. Taken back before the
+    // next commit instead of by one timer per transfer.
+    DueAmounts releases;
     int64_t peak_data_bps = 0;
     int64_t oversubscription_events = 0;
     // Last scheduled delivery time per destination; enforces per-pair FIFO.
@@ -211,7 +218,7 @@ class Network : public MessageBus {
     return addr < node_shards_.size() ? node_shards_[addr] : 0;
   }
   // The loop that owns `addr`'s endpoint (shard 0's sim when unsharded).
-  Simulator* SimOf(NetAddress addr) {
+  Simulator* SimOf(NetAddress addr) const {
     return engine_ != nullptr ? &engine_->shard(ShardOfNode(addr)) : sim_;
   }
   Rng& DiceFor(int shard) { return shard_rngs_.empty() ? rng_ : shard_rngs_[shard]; }

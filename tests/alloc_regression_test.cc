@@ -17,10 +17,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <vector>
 
+#include "src/client/viewer.h"
 #include "src/common/alloc_counter.h"
+#include "src/core/address_book.h"
 #include "src/core/messages.h"
 #include "src/core/system.h"
 #include "src/net/network.h"
@@ -37,9 +40,62 @@ constexpr Duration kWarmup = Duration::Seconds(30);
 constexpr Duration kWindow = Duration::Seconds(4);
 constexpr int kWindows = 3;
 
+// The client side of the data-plane case: every bootstrapped stream's blocks
+// go to a ViewerClient of its own, made on the stream's first block and
+// playing from that block. Their play requests go to a dead-end controller,
+// so the bootstrap records stay the only schedule entries.
+class ViewerFleetEndpoint : public NetworkEndpoint {
+ public:
+  explicit ViewerFleetEndpoint(TigerSystem* system) : system_(system) {
+    addresses_.controller =
+        system->net().Attach(&controller_, "dead-end controller", system->config().cub_nic_bps);
+  }
+
+  void HandleMessage(const MessageEnvelope& envelope) override {
+    const auto& msg = static_cast<const TigerMessage&>(*envelope.payload);
+    if (msg.kind != MsgKind::kBlockData) {
+      return;
+    }
+    const auto& block = static_cast<const BlockDataMsg&>(msg);
+    std::unique_ptr<ViewerClient>& viewer = viewers_[block.viewer.value()];
+    if (viewer == nullptr) {
+      viewer = std::make_unique<ViewerClient>(&system_->sim(), block.viewer, &system_->config(),
+                                              &system_->catalog(), &system_->net());
+      viewer->SetAddressBook(&addresses_);
+      viewer->SetQosLedger(system_->qos_sink());
+      viewer->RequestPlay(block.file, block.position);
+    }
+    viewer->HandleMessage(envelope);
+  }
+
+  int64_t BlocksComplete() const {
+    int64_t blocks = 0;
+    for (const auto& [id, viewer] : viewers_) {
+      blocks += viewer->stats().blocks_complete;
+    }
+    return blocks;
+  }
+  int64_t LostBlocks() const {
+    int64_t lost = 0;
+    for (const auto& [id, viewer] : viewers_) {
+      lost += viewer->stats().lost_blocks;
+    }
+    return lost;
+  }
+  size_t viewers() const { return viewers_.size(); }
+
+ private:
+  TigerSystem* system_;
+  SinkEndpoint controller_;
+  AddressBook addresses_;
+  std::map<uint32_t, std::unique_ptr<ViewerClient>> viewers_;
+};
+
 struct Ring {
   std::unique_ptr<TigerSystem> system;
   SinkEndpoint sink;
+  // Receives the blocks when the data plane is on.
+  std::unique_ptr<ViewerFleetEndpoint> clients;
   int streams = 0;
   // Each cub's entry-slab capacity as built, before any record landed.
   std::vector<size_t> reserved_slab;
@@ -55,7 +111,12 @@ struct Ring {
     for (int c = 0; c < kCubs; ++c) {
       reserved_slab.push_back(system->cub(CubId(static_cast<uint32_t>(c))).view().slab_capacity());
     }
-    NetAddress sink_addr = system->net().Attach(&sink, "sink", config.client_nic_bps);
+    NetworkEndpoint* client_side = &sink;
+    if (data_plane) {
+      clients = std::make_unique<ViewerFleetEndpoint>(system.get());
+      client_side = clients.get();
+    }
+    NetAddress sink_addr = system->net().Attach(client_side, "clients", config.client_nic_bps);
     streams = static_cast<int>(static_cast<double>(config.MaxStreams()) * 0.9);
     // Long enough that no stream hits end-of-file inside the horizon (EOF
     // would drain the ring and change what "steady" means).
@@ -114,29 +175,38 @@ TEST(AllocRegressionTest, WarmRingRunsAllocationFree) {
 
 // The data plane: every block a stream plays is a simulated disk read whose
 // completion callback (SimulatedDisk::Completion) and service timer must
-// both fit inline, and whose queue must reuse its storage. A read costs
-// zero heap allocations once the ring is warm; the schedule-management
-// cases above run with the data plane off and cannot see this path.
+// both fit inline, and whose queue must reuse its storage; its send commits
+// NIC bandwidth and parks the block's buffer until the paced transfer ends;
+// and a viewer client receives it, tracks its progress and retires it. A
+// block costs zero heap allocations once the ring is warm; the
+// schedule-management cases above run with the data plane off and cannot see
+// this path.
 TEST(AllocRegressionTest, WarmDataPlaneReadsAllocateNothing) {
   if (!AllocCountingEnabled()) {
     GTEST_SKIP() << "build with -DTIGER_COUNT_ALLOCS=ON to measure allocations";
   }
   Ring ring(1, /*data_plane=*/true);
+  EXPECT_EQ(ring.clients->viewers(), static_cast<size_t>(ring.streams))
+      << "every stream should have reached its viewer during warmup";
   uint64_t min_allocs = ~0ull;
   int64_t reads = 0;
   for (int w = 0; w < kWindows; ++w) {
     const int64_t reads_before = ring.DiskReads();
+    const int64_t blocks_before = ring.clients->BlocksComplete();
     auto [allocs, window_events] = ring.MeasureWindow();
     const int64_t window_reads = ring.DiskReads() - reads_before;
-    // A 90%-loaded 14-cub ring reads hundreds of blocks per 4s window.
+    // A 90%-loaded 14-cub ring reads and delivers hundreds of blocks per 4s
+    // window.
     EXPECT_GT(window_reads, 500) << "data plane unexpectedly idle";
+    EXPECT_GT(ring.clients->BlocksComplete() - blocks_before, 500) << "viewers unexpectedly idle";
     if (allocs < min_allocs) {
       min_allocs = allocs;
       reads = window_reads;
     }
   }
+  EXPECT_EQ(ring.clients->LostBlocks(), 0);
   EXPECT_EQ(min_allocs, 0u) << "data plane allocated " << min_allocs << " times across " << reads
-                            << " disk reads; the steady-state contract is zero per read";
+                            << " disk reads; the steady-state contract is zero per block";
 }
 
 // The view's entry slab is reserved for its working set (Cub's

@@ -109,6 +109,35 @@ TEST_F(NetTest, PacedBandwidthAccounting) {
   EXPECT_DOUBLE_EQ(net_.DataBytesSent(a_).Total(), 500000.0);
 }
 
+TEST_F(NetTest, BackToBackPacedTransfersShareTheBoundaryInstant) {
+  // A NIC with room for exactly one 2 Mbit/s stream. Back-to-back schedule
+  // windows share a boundary: the second block starts at the instant the
+  // first one's transfer nominally ends. The first's share returns a
+  // microsecond earlier, as of the next reading of the NIC, with no event.
+  Recorder recv_c;
+  const NetAddress c = net_.Attach(&recv_c, "c", 2000000);
+  net_.SendPaced(c, b_, 250000, 2000000, std::make_shared<TestPayload>(1));
+  EXPECT_EQ(net_.CurrentDataRate(c), 2000000);
+
+  sim_.RunUntil(TimePoint::Zero() + Duration::Micros(999998));
+  EXPECT_EQ(net_.CurrentDataRate(c), 2000000);
+  sim_.RunUntil(TimePoint::Zero() + Duration::Micros(999999));
+  EXPECT_EQ(net_.CurrentDataRate(c), 0);
+  sim_.RunUntil(TimePoint::Zero() + Duration::Seconds(1));
+  EXPECT_EQ(net_.CurrentDataRate(c), 0);
+  EXPECT_EQ(sim_.processed_events(), 0u) << "the release must not need a timer";
+
+  net_.SendPaced(c, b_, 250000, 2000000, std::make_shared<TestPayload>(2));
+  EXPECT_EQ(net_.CurrentDataRate(c), 2000000);
+  EXPECT_EQ(net_.PeakDataRate(c), 2000000);
+  EXPECT_EQ(net_.OversubscriptionEvents(c), 0);
+  sim_.Run();
+  EXPECT_EQ(recv_b_.values, (std::vector<int>{1, 2}));
+  EXPECT_EQ(net_.CurrentDataRate(c), 0);
+  EXPECT_EQ(net_.PeakDataRate(c), 2000000);
+  EXPECT_EQ(net_.OversubscriptionEvents(c), 0);
+}
+
 TEST_F(NetTest, OversubscriptionDetected) {
   // 90 x 2 Mbit/s = 180 Mbit/s on a 155 Mbit/s NIC.
   for (int i = 0; i < 90; ++i) {
