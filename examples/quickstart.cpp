@@ -15,7 +15,7 @@ int main() {
   config.shape = SystemShape{/*num_cubs=*/4, /*disks_per_cub=*/1, /*decluster_factor=*/2};
 
   Testbed testbed(config, /*seed=*/2024);
-  testbed.system().EnableOracle();
+  testbed.system().EnableInvariantChecker();
 
   std::printf("Tiger quickstart: %d cubs, %d disks, %lld schedule slots\n",
               config.shape.num_cubs, config.shape.TotalDisks(),
@@ -54,7 +54,7 @@ int main() {
               static_cast<long long>(cubs.records_received));
   std::printf("  blocks sent            : %lld\n", static_cast<long long>(cubs.blocks_sent));
   std::printf("  schedule conflicts     : %d (must be 0)\n",
-              testbed.system().oracle()->conflict_count());
+              testbed.system().invariant_checker()->conflict_count());
 
   return 0;
 }

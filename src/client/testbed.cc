@@ -21,18 +21,6 @@ FileId Testbed::PickRandomFile() {
   return files_[client_rng_.PickIndex(files_.size())];
 }
 
-ViewerClient& Testbed::AddLoopingViewer() {
-  auto viewer = std::make_unique<ViewerClient>(&sim(), ViewerId(next_viewer_id_++),
-                                               &system_.config(), &system_.catalog(),
-                                               &system_.net());
-  viewer->SetAddressBook(&system_.addresses());
-  viewer->SetQosLedger(system_.qos_sink());
-  ViewerClient& ref = *viewer;
-  viewers_.push_back(std::move(viewer));
-  ref.StartLooping([this] { return PickRandomFile(); });
-  return ref;
-}
-
 ViewerClient& Testbed::AddViewer(FileId file) {
   auto viewer = std::make_unique<ViewerClient>(&sim(), ViewerId(next_viewer_id_++),
                                                &system_.config(), &system_.catalog(),

@@ -26,8 +26,6 @@ class Testbed {
   // the config's max stream rate), as in §5's 64-file content set.
   void AddContent(int count, Duration file_duration);
 
-  // Creates one viewer that loops over random catalog files forever.
-  ViewerClient& AddLoopingViewer();
   // Creates one viewer playing a specific file once.
   ViewerClient& AddViewer(FileId file);
 

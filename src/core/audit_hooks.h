@@ -4,8 +4,8 @@
 // The ScheduleAuditor (src/audit) reconstructs the "hallucinated" global
 // schedule from per-cub evidence: record creations, forwards, receives and
 // kills. Cubs publish that evidence through this pure interface, held as a
-// null-checked pointer exactly like SetOracle / SetQosLedger — zero protocol
-// effect, one branch per call site when no auditor is attached.
+// null-checked pointer exactly like SetInvariantChecker / SetQosLedger —
+// zero protocol effect, one branch per call site when no auditor is attached.
 //
 // Every hook carries the authoritative simulated timestamp so the observer
 // never needs its own clock.

@@ -5,6 +5,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/units.h"
+#include "src/core/invariant_checker.h"
 #include "src/net/payload_pool.h"
 #include "src/sim/shard_engine.h"
 #include "src/trace/profiler.h"
@@ -320,6 +321,7 @@ void Cub::OnViewerState(const ViewerStateRecord& record) {
   switch (apply_result) {
     case ScheduleView::ApplyResult::kNew: {
       counters_.records_new++;
+      NoteLanding(record);
       if (vstate_lead_ms_ != nullptr && tracer_ != nullptr) {
         // How far ahead of its due time the record arrived (§4.1.1 lead).
         vstate_lead_ms_->Add(static_cast<double>((record.due - Now()).micros()) / 1000.0);
@@ -507,9 +509,8 @@ void Cub::SendBlock(EntryRef ref) {
   // End of file: whether or not this last block makes it out, the viewer
   // leaves the schedule and the slot becomes free.
   const bool eof = !mirror && record.position + 1 >= file.block_count;
-  if (eof && oracle_ != nullptr) {
-    ShardEngine::JournalCall(oracle_, &ScheduleOracle::OnRemove, record.slot, record.instance,
-                             Now());
+  if (eof && checker_ != nullptr) {
+    ShardEngine::JournalCall(checker_, &InvariantChecker::OnRemove, record.slot, record.instance);
   }
   if (config_->simulate_data_plane && !had_block) {
     if (!entry->mirror_recovery) {
@@ -540,9 +541,9 @@ void Cub::SendBlock(EntryRef ref) {
     counters_.fragments_sent++;
   } else {
     counters_.blocks_sent++;
-    if (oracle_ != nullptr) {
-      ShardEngine::JournalCall(oracle_, &ScheduleOracle::OnPrimarySend, record.slot,
-                               record.instance, ServingDisk(record), record.due, Now());
+    if (checker_ != nullptr) {
+      ShardEngine::JournalCall(checker_, &InvariantChecker::OnPrimarySend, record.slot,
+                               ServingDisk(record), record.due, Now());
     }
   }
   TIGER_TRACE_INSTANT(tracer_, trace_track_, TraceEventType::kBlockSent,
@@ -627,56 +628,15 @@ void Cub::TakeoverRecord(EntryRef ref) {
   entry->backup_only = true;
   entry->forwarded = true;  // Mirror/successor generation replaces forwarding.
   counters_.takeovers++;
-  const ViewerStateRecord record = entry->record();  // Copy: apply_local lands entries.
+  const ViewerStateRecord record = entry->record();  // Copy: landings may move the entry.
   TIGER_DCHECK(!record.is_mirror());
   TIGER_TRACE_INSTANT(tracer_, trace_track_, TraceEventType::kTakeover,
                       TraceArgs{.viewer = record.viewer.value(),
                                 .slot = record.slot.value(),
                                 .a = record.position});
 
-  auto apply_local = [this](const ViewerStateRecord& r) {
-    EntryRef landed;
-    ScheduleView::ApplyResult result = view_.ApplyViewerState(r, Now(), &landed);
-    if (result == ScheduleView::ApplyResult::kNew) {
-      counters_.records_new++;
-      NoteInstanceSeen(r.instance.value());
-      ProcessAcceptedRecord(landed);
-      return true;
-    }
-    if (result == ScheduleView::ApplyResult::kDuplicate) {
-      // Takeover synthesis re-created a record the dead cub had already
-      // forwarded; idempotent receive absorbs it (§4.1.1).
-      counters_.records_duplicate++;
-    }
-    return false;
-  };
-
-  const FileInfo& file = catalog_->Get(record.file);
   if (record.due >= Now() + kTakeoverMargin) {
-    // Start the declustered mirror chain at the first living fragment disk.
-    Duration offset = Duration::Zero();
-    for (int j = 0; j < config_->shape.decluster_factor; ++j) {
-      BlockLocation loc = layout_->SecondaryLocation(file, record.position, j);
-      if (!failure_view_.IsDiskFailed(loc.disk)) {
-        ViewerStateRecord fragment = record;
-        fragment.mirror_fragment = j;
-        fragment.due = record.due + offset;
-        if (fragment.lineage.tagged() && fragment.lineage.hop_count < UINT16_MAX) {
-          fragment.lineage.hop_count++;  // The chain branches: one synthesis hop.
-        }
-        if (auditor_ != nullptr) {
-          ShardEngine::JournalCall(auditor_, &AuditObserver::OnRecordCreated, Now(), id_.value(),
-                                   AuditObserver::CreateKind::kTakeover, fragment, RecordLineage{});
-        }
-        if (IsMyDisk(loc.disk)) {
-          apply_local(fragment);
-        } else {
-          SendRecordTo(config_->shape.CubOfDisk(loc.disk), fragment);
-        }
-        break;
-      }
-      offset += MirrorFragmentSpacing(j);
-    }
+    StartMirrorChain(record, AuditObserver::CreateKind::kTakeover);
   }
 
   // Assume the failed cub's forwarding duty: synthesize the successor record.
@@ -688,9 +648,9 @@ void Cub::TakeoverRecord(EntryRef ref) {
     next = SuccessorRecord(*next);
   }
   if (!next.has_value()) {
-    if (oracle_ != nullptr) {
-      ShardEngine::JournalCall(oracle_, &ScheduleOracle::OnRemove, record.slot, record.instance,
-                               Now());
+    if (checker_ != nullptr) {
+      ShardEngine::JournalCall(checker_, &InvariantChecker::OnRemove, record.slot,
+                               record.instance);
     }
     return;
   }
@@ -705,12 +665,12 @@ void Cub::TakeoverRecord(EntryRef ref) {
     // No explicit extra copy is needed for fault tolerance: our successor
     // already holds `record` (the predecessor state) as a backup, and its own
     // takeover scan would regenerate this chain if we died too.
-    apply_local(*next);
+    LandSynthesized(*next);
   } else if (failure_view_.IsDiskFailed(next_disk) &&
              failure_view_.FirstLivingSuccessor(config_->shape.CubOfDisk(next_disk)) == id_) {
     // Consecutive failures: the next block's disk is dead too; recurse (the
     // chain terminates at the first living disk).
-    apply_local(*next);
+    LandSynthesized(*next);
   } else {
     // The next serving disk belongs to some other living cub (multi-failure
     // bridging): hand the record to it and its successor directly.
@@ -720,6 +680,21 @@ void Cub::TakeoverRecord(EntryRef ref) {
     }
     SendRecordTo(owner, *next);
     SendRecordTo(failure_view_.FirstLivingSuccessor(owner), *next);
+  }
+}
+
+void Cub::LandSynthesized(const ViewerStateRecord& record) {
+  EntryRef landed;
+  ScheduleView::ApplyResult result = view_.ApplyViewerState(record, Now(), &landed);
+  if (result == ScheduleView::ApplyResult::kNew) {
+    counters_.records_new++;
+    NoteLanding(record);
+    NoteInstanceSeen(record.instance.value());
+    ProcessAcceptedRecord(landed);
+  } else if (result == ScheduleView::ApplyResult::kDuplicate) {
+    // Takeover synthesis re-created a record the dead cub had already
+    // forwarded; idempotent receive absorbs it (§4.1.1).
+    counters_.records_duplicate++;
   }
 }
 
@@ -754,28 +729,47 @@ void Cub::RecoverBlockViaMirrors(EntryRef ref) {
     ShardEngine::JournalCall(fault_stats_, &FaultStats::RecordMirrorRecovery, Now(), id_,
                              record.position);
   }
-  // Dispatch the first living fragment of the declustered mirror chain; the
-  // chain self-propagates from there exactly as in a takeover (§2.3, §4.1.1).
+  // The chain self-propagates from here exactly as in a takeover (§2.3,
+  // §4.1.1).
+  StartMirrorChain(record, AuditObserver::CreateKind::kMirrorRecovery);
+}
+
+void Cub::StartMirrorChain(const ViewerStateRecord& record, AuditObserver::CreateKind kind) {
   const FileInfo& file = catalog_->Get(record.file);
   Duration offset = Duration::Zero();
   for (int j = 0; j < config_->shape.decluster_factor; ++j) {
     BlockLocation loc = layout_->SecondaryLocation(file, record.position, j);
-    if (!failure_view_.IsDiskFailed(loc.disk)) {
-      ViewerStateRecord fragment = record;
-      fragment.mirror_fragment = j;
-      fragment.due = record.due + offset;
-      if (fragment.lineage.tagged() && fragment.lineage.hop_count < UINT16_MAX) {
-        fragment.lineage.hop_count++;
-      }
-      if (auditor_ != nullptr) {
-        ShardEngine::JournalCall(auditor_, &AuditObserver::OnRecordCreated, Now(), id_.value(),
-                                 AuditObserver::CreateKind::kMirrorRecovery, fragment,
-                                 RecordLineage{});
-      }
-      SendRecordTo(config_->shape.CubOfDisk(loc.disk), fragment);
-      break;
+    if (failure_view_.IsDiskFailed(loc.disk)) {
+      offset += MirrorFragmentSpacing(j);
+      continue;
     }
-    offset += MirrorFragmentSpacing(j);
+    ViewerStateRecord fragment = record;
+    fragment.mirror_fragment = j;
+    fragment.due = record.due + offset;
+    if (fragment.lineage.tagged() && fragment.lineage.hop_count < UINT16_MAX) {
+      fragment.lineage.hop_count++;  // The chain branches: one synthesis hop.
+    }
+    if (auditor_ != nullptr) {
+      ShardEngine::JournalCall(auditor_, &AuditObserver::OnRecordCreated, Now(), id_.value(), kind,
+                               fragment, RecordLineage{});
+    }
+    if (kind == AuditObserver::CreateKind::kTakeover && IsMyDisk(loc.disk)) {
+      LandSynthesized(fragment);
+    } else {
+      SendRecordTo(config_->shape.CubOfDisk(loc.disk), fragment);
+    }
+    return;
+  }
+}
+
+void Cub::NoteLanding(const ViewerStateRecord& record) {
+  if (checker_ != nullptr) {
+    // One closure instead of JournalCall: the member-call form's capture
+    // would outgrow the journal's inline buffer and allocate.
+    ShardEngine::JournalAppend([checker = checker_, cub = id_, key = record.DedupKey(),
+                                due = record.due, now = Now()] {
+      checker->OnLanding(cub, key, due, now);
+    });
   }
 }
 
@@ -895,17 +889,14 @@ void Cub::MaybeForwardEntry(ScheduleEntry& entry, BatchMap& batches) {
   entry.forwarded = true;
   StampLineageForSend(&*next);
   // Self-check corruption (InjectAuditCorruption): the forward evidence below
-  // describes the honest record, but the wire carries `out` — due shifted by
-  // 1ms. Same DedupKey, so the protocol at worst re-times one block; the
-  // auditor's shadow arithmetic must catch the disagreement.
-  ViewerStateRecord out = *next;
-  if (corrupt_next_forward_) {
-    corrupt_next_forward_ = false;
-    out.due = out.due + Duration::Millis(1);
-  }
-  int targets = 0;
+  // describes the honest record, but the copy bound for the last successor
+  // (with two copies, the backup) carries its due shifted by 1ms. Same
+  // DedupKey, so the protocol at worst re-times one block; the auditor's
+  // shadow arithmetic and the invariant checker's due coherence must both
+  // catch the disagreement.
   FailureView::NeighborList successors;
   failure_view_.NextLivingSuccessors(id_, config_->forward_copies, &successors);
+  int targets = 0;
   for (CubId target : successors) {
     if (auditor_ != nullptr) {
       ShardEngine::JournalCall(auditor_, &AuditObserver::OnRecordForwarded, Now(), id_.value(),
@@ -913,21 +904,24 @@ void Cub::MaybeForwardEntry(ScheduleEntry& entry, BatchMap& batches) {
     }
     const NetAddress addr = addresses_->CubAddress(target);
     ViewerStateBatchMsg& batch = batches[addr];
-    batch.Add(out);
+    if (++targets == successors.count && corrupt_next_forward_) {
+      corrupt_next_forward_ = false;
+      ViewerStateRecord out = *next;
+      out.due = out.due + Duration::Millis(1);
+      batch.Add(out);
+    } else {
+      batch.Add(*next);
+    }
     if (batch.wire_records.size() >= ViewerStateBatchMsg::kMaxBatchRecords) {
       SendBatchTo(addr, std::move(batch));
       batch = ViewerStateBatchMsg();
     }
-    ++targets;
   }
   TIGER_TRACE_INSTANT(tracer_, trace_track_, TraceEventType::kVStateForward,
                       TraceArgs{.viewer = next->viewer.value(),
                                 .slot = next->slot.value(),
                                 .a = next->position,
                                 .b = targets});
-#if !TIGER_INSTRUMENTATION_ENABLED
-  (void)targets;
-#endif
 }
 
 void Cub::FlushBatches(BatchMap& batches) {
@@ -1032,9 +1026,9 @@ void Cub::OnDeschedule(const DescheduleMsg& msg) {
         FreeBuffer(ReadBytesFor(removed.record()));
       }
     }
-    if (oracle_ != nullptr) {
-      ShardEngine::JournalCall(oracle_, &ScheduleOracle::OnRemove, record.slot, record.instance,
-                               Now());
+    if (checker_ != nullptr) {
+      ShardEngine::JournalCall(checker_, &InvariantChecker::OnRemove, record.slot,
+                               record.instance);
     }
   }
   if (!outcome.new_hold) {
@@ -1145,7 +1139,7 @@ void Cub::OwnershipTick(DiskId disk) {
         !view_.SlotBusyNear(event.slot, event.slot_start, occupancy_lookback)) {
       PendingStart pending = queue_it->second.front();
       queue_it->second.pop_front();
-      InsertViewer(disk, event.slot, event.slot_start, pending.msg);
+      InsertViewer(event.slot, event.slot_start, pending.msg);
     }
   }
   // Next window (contiguous with this one when duration == service time).
@@ -1153,7 +1147,7 @@ void Cub::OwnershipTick(DiskId disk) {
   At(std::max(next.window_start, Now()), [this, disk] { OwnershipTick(disk); });
 }
 
-void Cub::InsertViewer(DiskId disk, SlotId slot, TimePoint due, const StartPlayMsg& msg) {
+void Cub::InsertViewer(SlotId slot, TimePoint due, const StartPlayMsg& msg) {
   const FileInfo& file = catalog_->Get(msg.file);
   ViewerStateRecord record;
   record.viewer = msg.viewer;
@@ -1176,14 +1170,14 @@ void Cub::InsertViewer(DiskId disk, SlotId slot, TimePoint due, const StartPlayM
   TIGER_CHECK(result == ScheduleView::ApplyResult::kNew)
       << "insertion into slot " << slot << " rejected: result " << static_cast<int>(result);
   counters_.inserts++;
+  NoteLanding(record);
   NoteInstanceSeen(record.instance.value());
   TIGER_TRACE_INSTANT(tracer_, trace_track_, TraceEventType::kSlotInsert,
                       TraceArgs{.viewer = record.viewer.value(),
                                 .slot = slot.value(),
                                 .a = record.position});
-  if (oracle_ != nullptr) {
-    ShardEngine::JournalCall(oracle_, &ScheduleOracle::OnInsert, slot, record.viewer,
-                             record.instance, Now());
+  if (checker_ != nullptr) {
+    ShardEngine::JournalCall(checker_, &InvariantChecker::OnInsert, slot, record.instance, Now());
   }
 
   auto confirm = MakePooledMessage<StartConfirmMsg>();
@@ -1195,7 +1189,6 @@ void Cub::InsertViewer(DiskId disk, SlotId slot, TimePoint due, const StartPlayM
   ChargeMessageCpu();
   net_->Send(address_, addresses_->controller, StartConfirmMsg::WireBytes(), std::move(confirm));
 
-  (void)disk;
   ProcessAcceptedRecord(landed);
   // Commit the insertion: the successor record must reach other machines now,
   // not at the next batching tick — the next owner of this slot needs it.
@@ -1214,6 +1207,7 @@ void Cub::BootstrapRecord(const ViewerStateRecord& record) {
                              AuditObserver::CreateKind::kBootstrap, record, RecordLineage{});
   }
   if (result == ScheduleView::ApplyResult::kNew) {
+    NoteLanding(record);
     NoteInstanceSeen(record.instance.value());
     ProcessAcceptedRecord(landed);
   }
@@ -1391,7 +1385,7 @@ void Cub::HandleFailure(CubId failed_cub, DiskId failed_disk) {
       });
     }
     if (failure_view_.FirstLivingSuccessor(failed_cub) == id_) {
-      ActivateRedundantStarts(failed_cub);
+      ActivateRedundantStarts();
     }
     // Takeover duty may fall to us for any disk of the dead cub (and, after
     // consecutive failures, for earlier dead cubs we now succeed).
@@ -1427,8 +1421,7 @@ void Cub::ScanForTakeovers() {
   }
 }
 
-void Cub::ActivateRedundantStarts(CubId failed_cub) {
-  (void)failed_cub;
+void Cub::ActivateRedundantStarts() {
   // Re-derive responsibility under the updated failure view: any redundant
   // start for which this cub is now the first living responsible cub moves
   // into the live queue.

@@ -34,7 +34,6 @@
 #include "src/core/config.h"
 #include "src/core/failure_view.h"
 #include "src/core/messages.h"
-#include "src/core/oracle.h"
 #include "src/disk/disk.h"
 #include "src/layout/striping.h"
 #include "src/net/network.h"
@@ -48,6 +47,8 @@
 #include "src/trace/trace.h"
 
 namespace tiger {
+
+class InvariantChecker;
 
 class Cub : public Actor, public NetworkEndpoint {
  public:
@@ -80,7 +81,9 @@ class Cub : public Actor, public NetworkEndpoint {
   // Wiring (called by TigerSystem before Start()).
   void AttachDisks(std::vector<SimulatedDisk*> disks);
   void SetAddressBook(const AddressBook* addresses) { addresses_ = addresses; }
-  void SetOracle(ScheduleOracle* oracle) { oracle_ = oracle; }
+  // Schedule invariant checker (test hook); null = no checker. Survives
+  // Rejoin().
+  void SetInvariantChecker(InvariantChecker* checker) { checker_ = checker; }
   void SetFaultStats(FaultStats* stats) { fault_stats_ = stats; }
   // QoS cause attribution: the cub annotates blocks it knows it degraded
   // (missed deadline, mirror chain, too-late record, deschedule kill) so the
@@ -102,9 +105,11 @@ class Cub : public Actor, public NetworkEndpoint {
     }
   }
 
-  // Self-check: corrupt the next forwarded record's due time by 1ms (after
-  // the forward evidence is emitted, so the auditor's shadow disagrees with
-  // what actually arrived). One-shot; proves end-to-end divergence detection.
+  // Self-check: shift the due time of the next forwarded record's last copy
+  // (the backup's, with two copies) by 1ms, after the forward evidence is
+  // emitted, so the auditor's shadow disagrees with what arrived and the
+  // two copies disagree with each other. One-shot; proves end-to-end
+  // divergence detection.
   void InjectAuditCorruption() { corrupt_next_forward_ = true; }
 
   // Begins heartbeats and periodic ticks.
@@ -200,9 +205,19 @@ class Cub : public Actor, public NetworkEndpoint {
   void IssueRead(EntryRef ref);
   void SendBlock(EntryRef ref);
   void TakeoverRecord(EntryRef ref);
+  // Applies a record this cub synthesized on a takeover to its own view, as
+  // if received.
+  void LandSynthesized(const ViewerStateRecord& record);
   // After a transient read error on the primary disk, dispatch the block's
   // declustered mirror chain so the viewer is served from the secondaries.
   void RecoverBlockViaMirrors(EntryRef ref);
+  // Starts primary `record`'s declustered mirror chain at its first living
+  // fragment disk (§2.3), announced to the auditor as `kind`. A takeover
+  // lands a fragment for this cub's own disk locally; every other fragment
+  // is sent to the disk's cub.
+  void StartMirrorChain(const ViewerStateRecord& record, AuditObserver::CreateKind kind);
+  // Reports a record that just landed in the view to the invariant checker.
+  void NoteLanding(const ViewerStateRecord& record);
   // Bytes of buffer a record's disk read occupies (allocated block size for
   // primaries, one fragment for mirrors).
   int64_t ReadBytesFor(const ViewerStateRecord& record) const;
@@ -243,7 +258,7 @@ class Cub : public Actor, public NetworkEndpoint {
   void EnqueueStart(const StartPlayMsg& msg);
   void EnsureOwnershipTicking(DiskId disk);
   void OwnershipTick(DiskId disk);
-  void InsertViewer(DiskId disk, SlotId slot, TimePoint due, const StartPlayMsg& msg);
+  void InsertViewer(SlotId slot, TimePoint due, const StartPlayMsg& msg);
 
   // --- failure handling ---
   void HeartbeatTick();
@@ -251,7 +266,7 @@ class Cub : public Actor, public NetworkEndpoint {
   void DeclareCubFailed(CubId cub);
   void HandleFailure(CubId failed_cub, DiskId failed_disk);
   void ScanForTakeovers();
-  void ActivateRedundantStarts(CubId failed_cub);
+  void ActivateRedundantStarts();
 
   // --- lineage (audit) ---
   // Mints a fresh lineage chain on a locally created record: this cub as
@@ -279,7 +294,7 @@ class Cub : public Actor, public NetworkEndpoint {
   MessageBus* net_;
   NetAddress address_ = kInvalidAddress;
   const AddressBook* addresses_ = nullptr;
-  ScheduleOracle* oracle_ = nullptr;
+  InvariantChecker* checker_ = nullptr;
   FaultStats* fault_stats_ = nullptr;
   QosLedger* qos_ = nullptr;
   AuditObserver* auditor_ = nullptr;

@@ -1,109 +1,108 @@
 #include "src/core/invariant_checker.h"
 
-#include <map>
-#include <sstream>
+#include <algorithm>
+#include <cinttypes>
+#include <cstdio>
 #include <utility>
-
-#include "src/common/logging.h"
-#include "src/core/system.h"
 
 namespace tiger {
 
 namespace {
 
-// Cross-view checks only consider entries at least this old: a deschedule or
-// failure notice still in flight makes younger entries legitimately disagree.
-constexpr Duration kSettleTime = Duration::Millis(300);
+std::string KeyText(const ViewerStateRecord::Key& key) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "instance %" PRIu64 " slot %u seq %" PRId64 " fragment %d",
+                key.instance, key.slot, key.sequence, key.mirror_fragment);
+  return buf;
+}
 
 }  // namespace
 
-InvariantChecker::InvariantChecker(Simulator* sim, TigerSystem* system, Duration period)
-    : Actor(sim, "invariants"), system_(system), period_(period) {}
+InvariantChecker::InvariantChecker(const ScheduleGeometry* geometry, const TigerConfig& config)
+    : geometry_(geometry),
+      // Takeover-synthesized successors can run one block past the
+      // forwarding horizon; anything beyond that means a view is growing
+      // unboundedly.
+      max_lead_(config.max_vstate_lead + config.block_play_time * 2),
+      late_horizon_(config.deschedule_hold) {}
 
-void InvariantChecker::AddViolation(std::string what) {
-  if (!reported_.insert(what).second) {
-    return;
-  }
-  TIGER_LOG(kError, name()) << "invariant violated: " << what;
-  violations_.push_back(Violation{Now(), std::move(what)});
+void InvariantChecker::AddViolation(TimePoint when, std::string what) {
+  violations_.push_back(Violation{when, std::move(what)});
 }
 
-void InvariantChecker::CheckNow() {
-  checks_run_++;
-  const TigerConfig& config = system_->config();
-  const TimePoint now = Now();
-  // Takeover-synthesized successors can run one block past the forwarding
-  // horizon; anything beyond that means a view is growing unboundedly.
-  const Duration max_lead = config.max_vstate_lead + config.block_play_time * 2;
-
-  struct Sighting {
-    int cub;
-    const ScheduleEntry* entry;
-  };
-  std::map<SlotId, std::vector<Sighting>> primaries_by_slot;
-  std::map<ViewerStateRecord::Key, std::pair<TimePoint, int>> due_by_key;
-
-  for (int c = 0; c < system_->cub_count(); ++c) {
-    CubId id(static_cast<uint32_t>(c));
-    if (system_->IsCubFailed(id)) {
-      continue;
-    }
-    const ScheduleView& view = system_->cub(id).view();
-    view.ForEachEntry([&](const ScheduleEntry& entry) {
-      const ViewerStateRecord& record = entry.record();
-      // Lead bounds, evaluated once per entry: the first tick after receipt.
-      if (entry.received >= last_tick_) {
-        const Duration lead = record.due - entry.received;
-        if (lead > max_lead) {
-          std::ostringstream os;
-          os << "cub" << c << " received " << record.ToString() << " "
-             << lead.micros() << "us ahead of its due time (max "
-             << max_lead.micros() << "us)";
-          AddViolation(os.str());
-        } else if (lead < config.min_vstate_lead && lead >= Duration::Zero() &&
-                   !record.is_mirror()) {
-          lead_underruns_++;
-        }
-      }
-      // Due-time coherence: every copy of a record agrees on when its block
-      // is due, in every view, at all times.
-      auto [it, inserted] =
-          due_by_key.try_emplace(record.DedupKey(), std::make_pair(record.due, c));
-      if (!inserted && it->second.first != record.due) {
-        std::ostringstream os;
-        os << "due mismatch for " << record.ToString() << ": cub" << it->second.second
-           << " holds " << it->second.first.micros() << "us, cub" << c
-           << " holds " << record.due.micros() << "us";
-        AddViolation(os.str());
-      }
-      if (!record.is_mirror() && entry.received + kSettleTime <= now) {
-        primaries_by_slot[record.slot].push_back(Sighting{c, &entry});
-      }
-    });
+void InvariantChecker::OnInsert(SlotId slot, PlayInstanceId instance, TimePoint when) {
+  auto& occupants = occupancy_[slot];
+  ++inserts_;
+  if (!occupants.empty()) {
+    ++conflicts_;
+    char buf[240];
+    std::snprintf(buf, sizeof(buf),
+                  "slot %u double-booked at %.6fs: instance %llu joins %zu live occupant(s); "
+                  "first occupant instance %llu inserted at %.6fs",
+                  slot.value(), when.seconds(),
+                  static_cast<unsigned long long>(instance.value()), occupants.size(),
+                  static_cast<unsigned long long>(occupants.front().instance.value()),
+                  occupants.front().inserted.seconds());
+    AddViolation(when, buf);
   }
+  occupants.push_back(Occupancy{instance, when});
+}
 
-  // Double-booking: across all settled views, two different play instances
-  // must never claim the same slot with due times within one block play time.
-  for (const auto& [slot, sightings] : primaries_by_slot) {
-    for (size_t i = 0; i < sightings.size(); ++i) {
-      for (size_t j = i + 1; j < sightings.size(); ++j) {
-        const ViewerStateRecord& a = sightings[i].entry->record();
-        const ViewerStateRecord& b = sightings[j].entry->record();
-        if (a.instance == b.instance) {
-          continue;
-        }
-        const Duration delta = a.due > b.due ? a.due - b.due : b.due - a.due;
-        if (delta < config.block_play_time) {
-          std::ostringstream os;
-          os << "slot " << slot << " double-booked: instance " << a.instance << " (cub"
-             << sightings[i].cub << ") and instance " << b.instance << " (cub"
-             << sightings[j].cub << ") due " << delta.micros() << "us apart";
-          AddViolation(os.str());
-        }
-      }
+void InvariantChecker::OnRemove(SlotId slot, PlayInstanceId instance) {
+  auto it = occupancy_.find(slot);
+  if (it == occupancy_.end()) {
+    return;
+  }
+  auto& occupants = it->second;
+  for (auto o = occupants.begin(); o != occupants.end(); ++o) {
+    if (o->instance == instance) {
+      occupants.erase(o);
+      break;
     }
   }
-  last_tick_ = now;
+  if (occupants.empty()) {
+    occupancy_.erase(it);
+  }
+}
+
+void InvariantChecker::OnPrimarySend(SlotId slot, DiskId disk, TimePoint due, TimePoint now) {
+  // The due time must be a slot-start instant for the serving disk.
+  TimePoint canonical = geometry_->NextSlotStart(disk, slot, due);
+  if (canonical != due) {
+    ++mistimed_sends_;
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "slot %u disk %u: send due %.6fs is not a slot boundary (expected %.6fs)",
+                  slot.value(), disk.value(), due.seconds(), canonical.seconds());
+    AddViolation(now, buf);
+  }
+}
+
+void InvariantChecker::OnLanding(CubId cub, const ViewerStateRecord::Key& key, TimePoint due,
+                                 TimePoint now) {
+  ++landings_;
+  if (due - now > max_lead_) {
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), " %" PRId64 "us ahead of its due time (max %" PRId64 "us)",
+                  (due - now).micros(), max_lead_.micros());
+    AddViolation(now, "cub" + std::to_string(cub.value()) + " landed " + KeyText(key) + buf);
+  }
+  // Keys past their late horizon can no longer land anywhere.
+  while (!expiries_.empty() && expiries_.front().at < now) {
+    std::pop_heap(expiries_.begin(), expiries_.end(), std::greater<>());
+    due_by_key_.erase(expiries_.back().key);
+    expiries_.pop_back();
+  }
+  auto [it, first] = due_by_key_.try_emplace(key, FirstLanding{due, cub});
+  if (first) {
+    expiries_.push_back(Expiry{due + late_horizon_, key});
+    std::push_heap(expiries_.begin(), expiries_.end(), std::greater<>());
+  } else if (it->second.due != due) {
+    char buf[128];
+    std::snprintf(buf, sizeof(buf), ": cub%u landed it due %" PRId64 "us, cub%u due %" PRId64 "us",
+                  it->second.cub.value(), it->second.due.micros(), cub.value(), due.micros());
+    AddViolation(now, "due mismatch for " + KeyText(key) + buf);
+  }
 }
 
 }  // namespace tiger

@@ -1,73 +1,119 @@
-// Runtime checker of the §4 schedule-coherence invariants.
+// Runtime checker of the paper's §4 schedule invariants (test hook).
 //
-// Tiger has no global schedule; correctness means every cub's bounded view is
-// a consistent fragment of the same hallucination. The checker runs inside
-// the simulator as an omniscient observer (it reads every living cub's view
-// directly, which no real node could) and verifies, on a fixed cadence:
+// The global schedule is a hallucination — no component may rely on it. The
+// checker may: every cub reports its insertions, removals, primary block
+// sends and view landings to it through the shard journal, and each report
+// is checked as it arrives:
 //
-//  * no slot is double-booked: two different play instances never occupy the
-//    same slot with due times closer than one block play time (§4.1.3's
-//    slot-ownership rule is what makes this hold);
-//  * due-time coherence: every copy of a record (same dedup key) carries the
-//    same due time in every view — due times are shared arithmetic, never
-//    local clocks (§4.1.1);
-//  * bounded leads: no view learns of a block more than maxVStateLead (plus
-//    takeover slack) ahead of its due time (§4, bounded-view scalability).
-//    Records arriving with less than minVStateLead are counted, not flagged:
-//    takeovers and rejoins legitimately deliver late.
+//  * no double booking (§4.1.3): a slot never holds two live play instances,
+//    so an insert into a slot that still has an occupant is a conflict;
+//  * slot-boundary sends: every primary block goes out exactly at a slot
+//    start of its serving disk;
+//  * bounded leads (§4.1.1): no view learns of a block more than
+//    maxVStateLead, plus two block play times of takeover slack, before it
+//    is due;
+//  * due coherence (§4.1.1): every landing of one record (one DedupKey), in
+//    any view, carries the same due time — due times are shared arithmetic,
+//    never local clocks.
 //
-// Violations found during transient disagreement windows (a deschedule or
-// failure notice still propagating) would be false positives, so cross-view
-// checks only consider entries that have had time to settle.
+// Due coherence keeps one index entry per key, from its first landing until
+// due + deschedule_hold. That is the views' own late horizon: past it,
+// ScheduleView refuses the record as too late, so no copy of the key can
+// land again and the entry can go. So the index needs no hook for entries
+// leaving a view (eviction, deschedule, a cub's crash or rejoin).
+//
+// Cubs only write to the checker; it reads no protocol or auditor state.
 
 #ifndef SRC_CORE_INVARIANT_CHECKER_H_
 #define SRC_CORE_INVARIANT_CHECKER_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
+#include "src/common/ids.h"
 #include "src/common/time.h"
-#include "src/sim/actor.h"
+#include "src/core/config.h"
+#include "src/net/payload_pool.h"
+#include "src/schedule/geometry.h"
+#include "src/schedule/viewer_state.h"
 
 namespace tiger {
 
-class TigerSystem;
-
-class InvariantChecker : public Actor {
+class InvariantChecker {
  public:
   struct Violation {
     TimePoint when;
     std::string what;
   };
 
-  InvariantChecker(Simulator* sim, TigerSystem* system,
-                   Duration period = Duration::Millis(250));
+  InvariantChecker(const ScheduleGeometry* geometry, const TigerConfig& config);
 
-  // Runs all checks once at the current simulation time. TigerSystem calls
-  // it from an engine barrier task every period(), with all shards quiesced.
-  void CheckNow();
+  // Cubs call the hooks through ShardEngine::JournalAppend, so in sharded
+  // runs they apply at barriers, in (shard clock, shard, sequence) order.
 
-  Duration period() const { return period_; }
+  // A play instance was inserted into `slot`.
+  void OnInsert(SlotId slot, PlayInstanceId instance, TimePoint when);
+  // A play left the schedule (deschedule applied, end of file served, or a
+  // takeover found no block left to serve).
+  void OnRemove(SlotId slot, PlayInstanceId instance);
+  // A primary block of `slot` was sent from `disk`, due at `due`.
+  void OnPrimarySend(SlotId slot, DiskId disk, TimePoint due, TimePoint now);
+  // A record with `key`, due at `due`, landed in cub `cub`'s view at `now`.
+  void OnLanding(CubId cub, const ViewerStateRecord::Key& key, TimePoint due, TimePoint now);
 
   const std::vector<Violation>& violations() const { return violations_; }
-  int64_t checks_run() const { return checks_run_; }
-  // Records first seen with less than minVStateLead of slack (informational:
-  // bootstraps, takeovers and rejoins deliver late by design).
-  int64_t lead_underruns() const { return lead_underruns_; }
+  int conflict_count() const { return conflicts_; }
+  int mistimed_send_count() const { return mistimed_sends_; }
+  int insert_count() const { return inserts_; }
+  int64_t landings_checked() const { return landings_; }
 
  private:
-  void AddViolation(std::string what);
+  struct Occupancy {
+    PlayInstanceId instance;
+    TimePoint inserted;
+  };
+  struct FirstLanding {
+    TimePoint due;
+    CubId cub;
+  };
+  struct Expiry {
+    TimePoint at;
+    ViewerStateRecord::Key key;
+    // With std::greater, the heap's front is the earliest expiry.
+    friend bool operator>(const Expiry& a, const Expiry& b) { return a.at > b.at; }
+  };
+  struct KeyHash {
+    size_t operator()(const ViewerStateRecord::Key& key) const {
+      const uint64_t mixed = (key.instance * 0x9E3779B97F4A7C15ull) ^
+                             (static_cast<uint64_t>(key.sequence) << 20) ^
+                             (static_cast<uint64_t>(key.slot) << 8) ^
+                             static_cast<uint64_t>(key.mirror_fragment + 1);
+      return std::hash<uint64_t>()(mixed);
+    }
+  };
+  using Occupants = std::vector<Occupancy, PoolAllocator<Occupancy>>;
 
-  TigerSystem* system_;
-  Duration period_;
+  void AddViolation(TimePoint when, std::string what);
+
+  const ScheduleGeometry* geometry_;
+  const Duration max_lead_;
+  const Duration late_horizon_;
+  std::unordered_map<SlotId, Occupants, std::hash<SlotId>, std::equal_to<SlotId>,
+                     PoolAllocator<std::pair<const SlotId, Occupants>>>
+      occupancy_;
+  std::unordered_map<ViewerStateRecord::Key, FirstLanding, KeyHash,
+                     std::equal_to<ViewerStateRecord::Key>,
+                     PoolAllocator<std::pair<const ViewerStateRecord::Key, FirstLanding>>>
+      due_by_key_;
+  std::vector<Expiry> expiries_;  // Min-heap over due_by_key_'s entries.
+  int conflicts_ = 0;
+  int mistimed_sends_ = 0;
+  int inserts_ = 0;
+  int64_t landings_ = 0;
   std::vector<Violation> violations_;
-  // Dedup: a persistent violation is reported once, not once per tick.
-  std::unordered_set<std::string> reported_;
-  TimePoint last_tick_ = TimePoint::Zero();
-  int64_t checks_run_ = 0;
-  int64_t lead_underruns_ = 0;
 };
 
 }  // namespace tiger

@@ -110,22 +110,12 @@ Result<FileId> TigerSystem::AddFile(std::string name, int64_t bitrate_bps, Durat
   return catalog_->AddFile(std::move(name), bitrate_bps, duration, start);
 }
 
-void TigerSystem::EnableOracle() {
-  if (!oracle_) {
-    oracle_ = std::make_unique<ScheduleOracle>(geometry_.get());
-    for (auto& cub : cubs_) {
-      cub->SetOracle(oracle_.get());
-    }
-  }
-}
-
 void TigerSystem::EnableInvariantChecker() {
   if (!invariant_checker_) {
-    invariant_checker_ = std::make_unique<InvariantChecker>(&sim(), this);
-    // The checker reads every living cub's view — only safe with all shards
-    // quiesced, so it runs as a barrier task instead of an actor timer.
-    InvariantChecker* checker = invariant_checker_.get();
-    engine_->AddPeriodicTask(checker->period(), [checker] { checker->CheckNow(); });
+    invariant_checker_ = std::make_unique<InvariantChecker>(geometry_.get(), config_);
+    for (auto& cub : cubs_) {
+      cub->SetInvariantChecker(invariant_checker_.get());
+    }
   }
 }
 
@@ -563,19 +553,13 @@ void TigerSystem::Start() {
                              [this] { CaptureFlightCheckpoint(engine_->Now()); });
   }
   if (slo_monitor_) {
-    // Breach probes poll the run's oracles. Registered here, not at enable
-    // time, so EnableSloMonitor order relative to the oracles doesn't matter.
+    // Breach probes poll the run's checkers. Registered here, not at enable
+    // time, so EnableSloMonitor order relative to them doesn't matter.
     // Fixed registration order — it is the probe order in slo_state.json.
     if (invariant_checker_) {
       InvariantChecker* checker = invariant_checker_.get();
       slo_monitor_->AddBreachProbe("invariant_violation", [checker] {
         return static_cast<int64_t>(checker->violations().size());
-      });
-    }
-    if (oracle_) {
-      ScheduleOracle* oracle = oracle_.get();
-      slo_monitor_->AddBreachProbe("oracle_conflict", [oracle] {
-        return oracle->conflict_count() + static_cast<int64_t>(oracle->violations().size());
       });
     }
     if (audit_observer_ != nullptr) {
@@ -756,9 +740,9 @@ int TigerSystem::BootstrapStreams(int count, NetAddress sink, FileId file,
     cubs_[owner.value()]->BootstrapRecord(record);
     CubId backup = config_.shape.NextCub(owner);
     cubs_[backup.value()]->BootstrapRecord(record);
-    if (oracle_) {
+    if (invariant_checker_) {
       // Driver context: nothing to journal against.
-      oracle_->OnInsert(slot, record.viewer, record.instance, sim().Now());
+      invariant_checker_->OnInsert(slot, record.instance, sim().Now());
     }
     ++made;
   }
@@ -854,6 +838,7 @@ Cub::Counters TigerSystem::TotalCubCounters() const {
     total.disk_read_errors += c.disk_read_errors;
     total.mirror_recoveries += c.mirror_recoveries;
     total.rejoins += c.rejoins;
+    total.records_ttl_dropped += c.records_ttl_dropped;
   }
   return total;
 }

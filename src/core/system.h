@@ -7,9 +7,9 @@
 // There is one engine path (DESIGN.md §6h): a ShardEngine with
 // config.sim_shards shards, where sim_shards == 1 is the serial run. Actors
 // write shared observers through ShardEngine::JournalAppend, and every
-// observer that polls on a cadence (invariant checker, auditor, time-series
-// sampler, flight-recorder checkpoints, SLO evaluation) is an engine
-// periodic task, so it always sees a quiesced, barrier-consistent instant.
+// observer that polls on a cadence (auditor, time-series sampler,
+// flight-recorder checkpoints, SLO evaluation) is an engine periodic task,
+// so it always sees a quiesced, barrier-consistent instant.
 
 #ifndef SRC_CORE_SYSTEM_H_
 #define SRC_CORE_SYSTEM_H_
@@ -27,7 +27,6 @@
 #include "src/core/controller.h"
 #include "src/core/cub.h"
 #include "src/core/invariant_checker.h"
-#include "src/core/oracle.h"
 #include "src/disk/disk.h"
 #include "src/net/fault_plan.h"
 #include "src/stats/fault_stats.h"
@@ -57,11 +56,9 @@ class TigerSystem {
   // Adds a file; start disks are assigned round-robin across the stripe.
   Result<FileId> AddFile(std::string name, int64_t bitrate_bps, Duration duration);
 
-  // Attaches the oracle invariant checker to every cub (call before Start).
-  void EnableOracle();
-
-  // Attaches the schedule invariant checker (periodic omniscient audit of
-  // every living cub's view). Call before Start().
+  // Attaches the schedule invariant checker (src/core/invariant_checker.h)
+  // to every cub: insertions, removals, primary sends and view landings are
+  // checked as they happen. Call before Start() and before BootstrapStreams.
   void EnableInvariantChecker();
 
   // Installs a seeded network fault plan (drops, delays, duplicates,
@@ -114,7 +111,7 @@ class TigerSystem {
   FlightRecorder* flight_recorder() { return flight_recorder_.get(); }
 
   // Attaches the online SLO burn-rate monitor over the QoS ledger. Breaches
-  // (budget burns, or any enabled oracle firing) dump an incident bundle —
+  // (budget burns, an invariant violation, or a fatal audit divergence) dump an incident bundle —
   // at most options.max_incidents per run. Call before Start(); evaluation
   // is a barrier-aligned engine task, so results are sim_threads-invariant.
   void EnableSloMonitor(SloMonitor::Options options = {});
@@ -201,7 +198,6 @@ class TigerSystem {
   Cub& cub(CubId id) { return *cubs_[id.value()]; }
   int cub_count() const { return static_cast<int>(cubs_.size()); }
   SimulatedDisk& disk(DiskId id);
-  ScheduleOracle* oracle() { return oracle_.get(); }
   InvariantChecker* invariant_checker() { return invariant_checker_.get(); }
   NetFaultPlan* net_fault_plan() { return net_fault_plan_.get(); }
   FaultStats& fault_stats() { return fault_stats_; }
@@ -310,7 +306,6 @@ class TigerSystem {
   std::unique_ptr<Catalog> catalog_;
   std::unique_ptr<StripeLayout> layout_;
   std::unique_ptr<ScheduleGeometry> geometry_;
-  std::unique_ptr<ScheduleOracle> oracle_;
   std::unique_ptr<InvariantChecker> invariant_checker_;
   std::unique_ptr<NetFaultPlan> net_fault_plan_;
   std::unique_ptr<MetricsRegistry> metrics_;

@@ -276,10 +276,9 @@ ScenarioOutcome RunScenario(const ScenarioDescriptor& descriptor, const RunOptio
 
   Testbed bed(config, descriptor.seed);
   TigerSystem& system = bed.system();
-  system.EnableOracle();
   system.EnableInvariantChecker();
   system.EnableNetFaultPlan();
-  // A small ring is plenty: the verdict comes from the oracles, the trace is
+  // A small ring is plenty: the verdict comes from the checkers, the trace is
   // a debugging aid for replayed counterexamples.
   system.EnableTracing(4096);
   if (descriptor.backup_controller) {
@@ -338,9 +337,6 @@ ScenarioOutcome RunScenario(const ScenarioDescriptor& descriptor, const RunOptio
 
   const InvariantChecker* checker = system.invariant_checker();
   outcome.invariant_violations = static_cast<int64_t>(checker->violations().size());
-  const ScheduleOracle* oracle = system.oracle();
-  outcome.oracle_conflicts =
-      oracle->conflict_count() + static_cast<int64_t>(oracle->violations().size());
   outcome.audit_divergences = auditor.total_divergences();
   outcome.truly_lost_records =
       auditor.CountFor(ScheduleAuditor::DivergenceClass::kTrulyLostRecord);
@@ -366,15 +362,9 @@ ScenarioOutcome RunScenario(const ScenarioDescriptor& descriptor, const RunOptio
   if (outcome.livelock_timeouts > 0) {
     outcome.verdict = Verdict::kLivelock;
     outcome.detail = "deadman fired: viewer made no progress for a full window";
-  } else if (outcome.invariant_violations > 0 || outcome.oracle_conflicts > 0) {
+  } else if (outcome.invariant_violations > 0) {
     outcome.verdict = Verdict::kInvariantViolation;
-    if (!checker->violations().empty()) {
-      outcome.detail = checker->violations().front().what;
-    } else if (!oracle->violations().empty()) {
-      outcome.detail = oracle->violations().front();
-    } else {
-      outcome.detail = "schedule slot conflict";
-    }
+    outcome.detail = checker->violations().front().what;
   } else if (outcome.audit_divergences_fatal > 0) {
     outcome.verdict = Verdict::kDivergence;
     for (size_t c = 0; c < static_cast<size_t>(ScheduleAuditor::DivergenceClass::kClassCount);
@@ -433,7 +423,6 @@ std::string OutcomeSummary(const ScenarioOutcome& outcome) {
   out += "late_blocks " + std::to_string(outcome.late_blocks) + "\n";
   out += "lost_blocks " + std::to_string(outcome.lost_blocks) + "\n";
   out += "invariant_violations " + std::to_string(outcome.invariant_violations) + "\n";
-  out += "oracle_conflicts " + std::to_string(outcome.oracle_conflicts) + "\n";
   out += "audit_divergences " + std::to_string(outcome.audit_divergences) + "\n";
   out += "audit_divergences_fatal " + std::to_string(outcome.audit_divergences_fatal) + "\n";
   out += "truly_lost_records " + std::to_string(outcome.truly_lost_records) + "\n";

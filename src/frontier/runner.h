@@ -1,8 +1,8 @@
 // Deterministic scenario execution and the verdict lattice.
 //
 // RunScenario builds one TigerSystem from a ScenarioDescriptor, attaches
-// every oracle the repo has — the InvariantChecker (§4 coherence), the
-// ScheduleOracle (slot conflicts), the ScheduleAuditor's shadow global
+// every checker the repo has — the InvariantChecker (§4 slot conflicts, send
+// timing, due coherence and lead bounds), the ScheduleAuditor's shadow global
 // schedule (10 divergence classes), and the QoS ledger (client-observed
 // glitches with causes) — plus a run-level *deadman watchdog*, injects the
 // descriptor's faults, and classifies the outcome into the verdict lattice:
@@ -15,7 +15,7 @@
 //   kDivergence          the auditor flagged a class other than truly-lost
 //                        (truly-lost records are the paper's bounded crash
 //                        losses, not incoherence)
-//   kInvariantViolation  the InvariantChecker or oracle flagged §4 breakage
+//   kInvariantViolation  the InvariantChecker flagged §4 breakage
 //   kLivelock            the deadman watchdog fired: some viewer made no
 //                        observable progress for a whole window while active
 //                        — stalled, not slow (distinguishable in Perfetto by
@@ -64,9 +64,8 @@ struct ScenarioOutcome {
   int64_t late_blocks = 0;
   int64_t lost_blocks = 0;
 
-  // Oracles.
+  // Checkers.
   int64_t invariant_violations = 0;
-  int64_t oracle_conflicts = 0;
   int64_t audit_divergences = 0;        // All classes.
   int64_t audit_divergences_fatal = 0;  // Classes other than truly-lost.
   int64_t truly_lost_records = 0;

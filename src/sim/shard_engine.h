@@ -141,7 +141,7 @@ class ShardEngine {
   void Post(int dst_shard, TimePoint when, InlineFunction cb);
 
   // The one write path into process-global observers (QoS ledger, fault
-  // stats, oracle, audit observer): actors hand over a closure over the real
+  // stats, invariant checker, audit observer): actors hand over a closure over the real
   // object, capturing its arguments by value. On a shard of a multi-shard
   // engine the closure is deferred to the next barrier, where entries apply
   // in (emitting shard's clock, shard, per-shard sequence) order — a total

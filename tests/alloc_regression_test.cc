@@ -102,12 +102,15 @@ struct Ring {
 
   // The schedule-management cases run with the data plane off: it would
   // dominate the event budget without touching the path under test. The
-  // data-plane case turns it on.
-  explicit Ring(uint64_t seed, bool data_plane = false) {
+  // data-plane case turns it on. `checked` attaches the invariant checker.
+  explicit Ring(uint64_t seed, bool data_plane = false, bool checked = false) {
     TigerConfig config;
     config.shape.num_cubs = kCubs;
     config.simulate_data_plane = data_plane;
     system = std::make_unique<TigerSystem>(config, seed);
+    if (checked) {
+      system->EnableInvariantChecker();
+    }
     for (int c = 0; c < kCubs; ++c) {
       reserved_slab.push_back(system->cub(CubId(static_cast<uint32_t>(c))).view().slab_capacity());
     }
@@ -153,24 +156,35 @@ TEST(AllocRegressionTest, WarmRingRunsAllocationFree) {
   if (!AllocCountingEnabled()) {
     GTEST_SKIP() << "build with -DTIGER_COUNT_ALLOCS=ON to measure allocations";
   }
-  Ring ring(1);
-  // Minimum over windows, matching the bench's steady-state definition: a
-  // one-time high-water ratchet (a meter reserving, a hash table doubling)
-  // may land in one window, but a per-event allocation taxes every window.
-  uint64_t min_allocs = ~0ull;
-  uint64_t events = 0;
-  for (int w = 0; w < kWindows; ++w) {
-    auto [allocs, window_events] = ring.MeasureWindow();
-    // Control-plane events batch many records; a 90%-loaded 14-cub ring
-    // processes a few thousand events per 4s window.
-    EXPECT_GT(window_events, 2000u) << "ring unexpectedly idle";
-    if (allocs < min_allocs) {
-      min_allocs = allocs;
-      events = window_events;
+  // The invariant checker's hooks ride the same path: its due index and
+  // occupancy map recycle payload-pool nodes, so it must allocate nothing
+  // either.
+  for (const bool checked : {false, true}) {
+    SCOPED_TRACE(checked ? "with the invariant checker" : "unchecked");
+    Ring ring(1, /*data_plane=*/false, checked);
+    // Minimum over windows, matching the bench's steady-state definition: a
+    // one-time high-water ratchet (a meter reserving, a hash table doubling)
+    // may land in one window, but a per-event allocation taxes every window.
+    uint64_t min_allocs = ~0ull;
+    uint64_t events = 0;
+    for (int w = 0; w < kWindows; ++w) {
+      auto [allocs, window_events] = ring.MeasureWindow();
+      // Control-plane events batch many records; a 90%-loaded 14-cub ring
+      // processes a few thousand events per 4s window.
+      EXPECT_GT(window_events, 2000u) << "ring unexpectedly idle";
+      if (allocs < min_allocs) {
+        min_allocs = allocs;
+        events = window_events;
+      }
+    }
+    EXPECT_EQ(min_allocs, 0u) << "protocol hot path allocated " << min_allocs
+                              << " times across " << events
+                              << " events; the steady-state contract is zero";
+    if (checked) {
+      EXPECT_GT(ring.system->invariant_checker()->landings_checked(), 0);
+      EXPECT_TRUE(ring.system->invariant_checker()->violations().empty());
     }
   }
-  EXPECT_EQ(min_allocs, 0u) << "protocol hot path allocated " << min_allocs << " times across "
-                            << events << " events; the steady-state contract is zero";
 }
 
 // The data plane: every block a stream plays is a simulated disk read whose

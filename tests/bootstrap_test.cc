@@ -14,7 +14,7 @@ TEST(BootstrapTest, StreamsSelfPerpetuate) {
   config.shape = SystemShape{6, 1, 2};
   config.simulate_data_plane = false;
   TigerSystem system(config, 91);
-  system.EnableOracle();
+  system.EnableInvariantChecker();
   SinkEndpoint sink;
   NetAddress sink_addr = system.net().Attach(&sink, "sink", config.client_nic_bps);
   FileId file = system
@@ -34,8 +34,8 @@ TEST(BootstrapTest, StreamsSelfPerpetuate) {
   EXPECT_NEAR(static_cast<double>(totals.blocks_sent), streams * 28.0, streams * 3.0);
   EXPECT_EQ(totals.records_conflict, 0);
   EXPECT_EQ(totals.server_missed_blocks, 0);
-  EXPECT_EQ(system.oracle()->conflict_count(), 0);
-  EXPECT_EQ(system.oracle()->mistimed_send_count(), 0);
+  EXPECT_EQ(system.invariant_checker()->conflict_count(), 0);
+  EXPECT_EQ(system.invariant_checker()->mistimed_send_count(), 0);
 }
 
 TEST(BootstrapTest, RefusesMoreThanCapacity) {

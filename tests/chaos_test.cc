@@ -1,6 +1,6 @@
 // Chaos harness: one seeded scenario combining message delay/duplication, a
 // transient disk-error burst, a limping disk, and a cub crash-restart —
-// replayed under the schedule invariant checker and the oracle.
+// replayed under the schedule invariant checker.
 //
 // What it proves:
 //  * the §4 coherence invariants hold through every injected fault;
@@ -32,8 +32,8 @@ TigerConfig ChaosConfig() {
 struct ChaosOutcome {
   std::string event_log;
   int64_t invariant_violations = 0;
-  int64_t checks_run = 0;
-  int64_t oracle_conflicts = 0;
+  int64_t landings_checked = 0;
+  int64_t slot_conflicts = 0;
   ViewerClient::Stats totals;
   Cub::Counters counters;
   int64_t delayed = 0;
@@ -69,7 +69,6 @@ struct ChaosOutcome {
 ChaosOutcome RunChaosScenario(uint64_t seed, bool print_summary) {
   Testbed testbed(ChaosConfig(), seed);
   TigerSystem& system = testbed.system();
-  system.EnableOracle();
   system.EnableInvariantChecker();
   system.EnableNetFaultPlan();
   system.EnableTracing();
@@ -140,8 +139,8 @@ ChaosOutcome RunChaosScenario(uint64_t seed, bool print_summary) {
   out.event_log = system.fault_stats().EventLog();
   out.invariant_violations =
       static_cast<int64_t>(system.invariant_checker()->violations().size());
-  out.checks_run = system.invariant_checker()->checks_run();
-  out.oracle_conflicts = system.oracle()->conflict_count();
+  out.landings_checked = system.invariant_checker()->landings_checked();
+  out.slot_conflicts = system.invariant_checker()->conflict_count();
   out.totals = testbed.TotalClientStats();
   out.counters = system.TotalCubCounters();
   out.delayed = system.fault_stats().Count(FaultStats::Kind::kMessageDelayed);
@@ -249,9 +248,9 @@ TEST(ChaosTest, SeededFaultPlanHoldsInvariantsAndBoundsGlitches) {
   EXPECT_GT(out.counters.takeovers, 0) << "the crash must engage takeovers";
 
   // Schedule coherence held throughout.
-  EXPECT_GT(out.checks_run, 100);
+  EXPECT_GT(out.landings_checked, 100);
   EXPECT_EQ(out.invariant_violations, 0);
-  EXPECT_EQ(out.oracle_conflicts, 0);
+  EXPECT_EQ(out.slot_conflicts, 0);
   EXPECT_EQ(out.counters.records_conflict, 0);
 
   // Every committed viewer was served or its loss is accounted: all five
@@ -354,9 +353,9 @@ TEST(ChaosTest, TenSeedSweepHoldsInvariantsOnEverySeed) {
   for (uint64_t seed : seeds) {
     ChaosOutcome out = RunChaosScenario(seed, /*print_summary=*/false);
     EXPECT_EQ(out.invariant_violations, 0) << "seed " << seed;
-    EXPECT_EQ(out.oracle_conflicts, 0) << "seed " << seed;
+    EXPECT_EQ(out.slot_conflicts, 0) << "seed " << seed;
     EXPECT_EQ(out.counters.records_conflict, 0) << "seed " << seed;
-    EXPECT_GT(out.checks_run, 100) << "seed " << seed;
+    EXPECT_GT(out.landings_checked, 100) << "seed " << seed;
     // The crash/revive is scripted, so the rejoin fires under every seed;
     // the disk-error burst is probabilistic per read and a rare seed can
     // dodge it entirely, so that one is asserted across the sweep.
@@ -444,7 +443,6 @@ TEST(ChaosTest, DescriptorDrivenSeedsSurviveAndStayDeterministic) {
     ASSERT_EQ(parsed.value(), ChaosDescriptor(seed));
     const frontier::ScenarioOutcome out = frontier::RunScenario(parsed.value());
     EXPECT_EQ(out.invariant_violations, 0) << "seed " << seed;
-    EXPECT_EQ(out.oracle_conflicts, 0) << "seed " << seed;
     EXPECT_LE(out.verdict, frontier::Verdict::kQosGlitches)
         << "seed " << seed << "\n" << frontier::OutcomeSummary(out);
     EXPECT_TRUE(out.survivable) << "seed " << seed << "\n"

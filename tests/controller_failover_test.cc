@@ -27,7 +27,7 @@ TEST(ControllerFailoverTest, RunningStreamsSurviveControllerDeathWithoutBackup) 
   // The distributed schedule's headline property: the controller plays no
   // part in steady-state delivery.
   Testbed testbed(SmallConfig(), 81);
-  testbed.system().EnableOracle();
+  testbed.system().EnableInvariantChecker();
   testbed.AddContent(2, Duration::Seconds(60));
   testbed.Start();
   testbed.AddViewer(FileId(0));
@@ -42,7 +42,7 @@ TEST(ControllerFailoverTest, RunningStreamsSurviveControllerDeathWithoutBackup) 
   EXPECT_EQ(totals.plays_completed, 2);
   EXPECT_EQ(totals.lost_blocks, 0) << "delivery must not involve the controller";
   EXPECT_EQ(totals.late_blocks, 0);
-  EXPECT_EQ(testbed.system().oracle()->conflict_count(), 0);
+  EXPECT_EQ(testbed.system().invariant_checker()->conflict_count(), 0);
 }
 
 // Run on one shard and on two: the standby must live on an engine shard the
@@ -53,7 +53,7 @@ TEST_P(ControllerFailoverShardsTest, StandbyTakesOverNewStarts) {
   TigerConfig config = SmallConfig();
   config.sim_shards = GetParam();
   Testbed testbed(config, 83);
-  testbed.system().EnableOracle();
+  testbed.system().EnableInvariantChecker();
   testbed.system().EnableBackupController();
   testbed.AddContent(2, Duration::Seconds(40));
   testbed.Start();
@@ -76,7 +76,7 @@ TEST_P(ControllerFailoverShardsTest, StandbyTakesOverNewStarts) {
   ViewerClient::Stats totals = testbed.TotalClientStats();
   EXPECT_EQ(totals.plays_completed, 2);
   EXPECT_EQ(totals.lost_blocks, 0);
-  EXPECT_EQ(testbed.system().oracle()->conflict_count(), 0);
+  EXPECT_EQ(testbed.system().invariant_checker()->conflict_count(), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, ControllerFailoverShardsTest, ::testing::Values(1, 2));
@@ -86,7 +86,7 @@ TEST(ControllerFailoverTest, StopsWorkAcrossFailover) {
   // pipeline's fallback (purge queues, recover the slot from cub views)
   // must still stop the stream.
   Testbed testbed(SmallConfig(), 85);
-  testbed.system().EnableOracle();
+  testbed.system().EnableInvariantChecker();
   testbed.system().EnableBackupController();
   testbed.AddContent(1, Duration::Seconds(120));
   testbed.Start();

@@ -82,7 +82,7 @@ TEST(ControllerTest, ActivePlayRegistryTracksLifecycle) {
 
 TEST(ControllerTest, StopRoutedToCurrentServingCub) {
   Testbed testbed(SmallConfig(), 79);
-  testbed.system().EnableOracle();
+  testbed.system().EnableInvariantChecker();
   testbed.AddContent(1, Duration::Seconds(60));
   testbed.Start();
   ViewerClient& viewer = testbed.AddViewer(FileId(0));

@@ -24,7 +24,7 @@ TigerConfig SmallConfig() {
 // Builds a testbed with one running stream and returns the testbed.
 std::unique_ptr<Testbed> RunningStream(uint64_t seed) {
   auto testbed = std::make_unique<Testbed>(SmallConfig(), seed);
-  testbed->system().EnableOracle();
+  testbed->system().EnableInvariantChecker();
   testbed->AddContent(2, Duration::Seconds(60));
   testbed->Start();
   testbed->AddViewer(FileId(0));
@@ -62,7 +62,37 @@ TEST(CubProtocolTest, ReplayedBatchIsAbsorbedIdempotently) {
 
   testbed->RunFor(Duration::Seconds(60));
   EXPECT_EQ(testbed->TotalClientStats().lost_blocks, 0);
-  EXPECT_EQ(system.oracle()->conflict_count(), 0);
+  EXPECT_EQ(system.invariant_checker()->conflict_count(), 0);
+}
+
+TEST(CubProtocolTest, HopTtlDropReachesTheFleetTotal) {
+  auto testbed = RunningStream(52);
+  TigerSystem& system = testbed->system();
+  Cub& target = system.cub(CubId(2));
+  ASSERT_EQ(system.TotalCubCounters().records_ttl_dropped, 0);
+
+  // A record whose lineage has hopped far more often than its sequence
+  // advanced has been re-forwarded in a loop: the guard drops it.
+  ViewerStateRecord looped;
+  looped.viewer = ViewerId(900);
+  looped.instance = PlayInstanceId(900);
+  looped.file = FileId(0);
+  looped.slot = SlotId(0);
+  looped.sequence = 3;
+  looped.due = system.sim().Now() + Duration::Seconds(2);
+  looped.lineage.origin_cub = 1;
+  looped.lineage.epoch = 1;
+  looped.lineage.MarkTagged();
+  looped.lineage.hop_count =
+      static_cast<uint16_t>(looped.sequence + system.config().max_hop_slack + 1);
+  auto batch = std::make_shared<ViewerStateBatchMsg>();
+  batch->Add(looped);
+  const int64_t bytes = batch->WireBytes();
+  system.net().Send(system.cub(CubId(1)).address(), target.address(), bytes, batch);
+  testbed->RunFor(Duration::Seconds(1));
+
+  EXPECT_EQ(target.counters().records_ttl_dropped, 1);
+  EXPECT_EQ(system.TotalCubCounters().records_ttl_dropped, 1);
 }
 
 TEST(CubProtocolTest, DuplicateDescheduleForwardedOnlyOnce) {
@@ -103,7 +133,7 @@ TEST(CubProtocolTest, DuplicateDescheduleForwardedOnlyOnce) {
   testbed->RunFor(Duration::Seconds(5));
   EXPECT_EQ(testbed->TotalClientStats().blocks_complete, blocks);
   EXPECT_EQ(totals.records_conflict, 0);
-  EXPECT_EQ(system.oracle()->conflict_count(), 0);
+  EXPECT_EQ(system.invariant_checker()->conflict_count(), 0);
 }
 
 TEST(CubProtocolTest, ViewsStayBounded) {
@@ -152,7 +182,7 @@ TEST(CubProtocolTest, StartRequestDedupAcrossPrimaryAndRedundant) {
   // confirm only one insertion happens.
   TigerConfig config = SmallConfig();
   Testbed testbed(config, 59);
-  testbed.system().EnableOracle();
+  testbed.system().EnableInvariantChecker();
   testbed.AddContent(1, Duration::Seconds(30));
   testbed.Start();
   TigerSystem& system = testbed.system();
@@ -176,7 +206,7 @@ TEST(CubProtocolTest, StartRequestDedupAcrossPrimaryAndRedundant) {
 
   Cub::Counters totals = system.TotalCubCounters();
   EXPECT_EQ(totals.inserts, 1);
-  EXPECT_EQ(system.oracle()->conflict_count(), 0);
+  EXPECT_EQ(system.invariant_checker()->conflict_count(), 0);
 }
 
 // The instance `viewer` plays in some cub's view, or nullopt.

@@ -19,7 +19,7 @@ TigerConfig SmallConfig() {
 
 TEST(IntegrationTest, SingleViewerReceivesEveryBlockOnTime) {
   Testbed testbed(SmallConfig(), /*seed=*/42);
-  testbed.system().EnableOracle();
+  testbed.system().EnableInvariantChecker();
   testbed.AddContent(1, Duration::Seconds(20));
   testbed.Start();
   ViewerClient& viewer = testbed.AddViewer(FileId(0));
@@ -30,8 +30,8 @@ TEST(IntegrationTest, SingleViewerReceivesEveryBlockOnTime) {
   EXPECT_EQ(viewer.stats().blocks_complete, 20);
   EXPECT_EQ(viewer.stats().lost_blocks, 0);
   EXPECT_EQ(viewer.stats().late_blocks, 0);
-  EXPECT_EQ(testbed.system().oracle()->conflict_count(), 0);
-  EXPECT_EQ(testbed.system().oracle()->mistimed_send_count(), 0);
+  EXPECT_EQ(testbed.system().invariant_checker()->conflict_count(), 0);
+  EXPECT_EQ(testbed.system().invariant_checker()->mistimed_send_count(), 0);
   EXPECT_EQ(testbed.system().TotalCubCounters().server_missed_blocks, 0);
   EXPECT_EQ(testbed.system().TotalCubCounters().records_conflict, 0);
 }
@@ -51,7 +51,7 @@ TEST(IntegrationTest, StartupLatencyAtLowLoadIsAboutTwoSeconds) {
 
 TEST(IntegrationTest, ManyViewersAllStreamsComplete) {
   Testbed testbed(SmallConfig(), 3);
-  testbed.system().EnableOracle();
+  testbed.system().EnableInvariantChecker();
   testbed.AddContent(8, Duration::Seconds(25));
   testbed.Start();
   for (int i = 0; i < 12; ++i) {
@@ -64,7 +64,7 @@ TEST(IntegrationTest, ManyViewersAllStreamsComplete) {
   EXPECT_EQ(totals.plays_completed, 12);
   EXPECT_EQ(totals.blocks_complete, 12 * 25);
   EXPECT_EQ(totals.lost_blocks, 0);
-  EXPECT_EQ(testbed.system().oracle()->conflict_count(), 0);
+  EXPECT_EQ(testbed.system().invariant_checker()->conflict_count(), 0);
   EXPECT_EQ(testbed.system().TotalCubCounters().records_conflict, 0);
 }
 
@@ -92,7 +92,7 @@ TEST(IntegrationTest, ViewerStatesStayWithinLeadBounds) {
 
 TEST(IntegrationTest, StopPlayDeschedulesAndFreesSlot) {
   Testbed testbed(SmallConfig(), 5);
-  testbed.system().EnableOracle();
+  testbed.system().EnableInvariantChecker();
   testbed.AddContent(1, Duration::Seconds(60));
   testbed.Start();
   ViewerClient& viewer = testbed.AddViewer(FileId(0));
@@ -114,7 +114,7 @@ TEST(IntegrationTest, StopPlayDeschedulesAndFreesSlot) {
   ViewerClient& second = testbed.AddViewer(FileId(0));
   testbed.RunFor(Duration::Seconds(10));
   EXPECT_EQ(second.stats().plays_started, 1);
-  EXPECT_EQ(testbed.system().oracle()->conflict_count(), 0);
+  EXPECT_EQ(testbed.system().invariant_checker()->conflict_count(), 0);
 }
 
 TEST(IntegrationTest, CubFailureMirrorsTakeOver) {
@@ -122,7 +122,7 @@ TEST(IntegrationTest, CubFailureMirrorsTakeOver) {
   // only blocks due from the dead cub inside the detection window are lost.
   TigerConfig config = SmallConfig();
   Testbed testbed(config, 21);
-  testbed.system().EnableOracle();
+  testbed.system().EnableInvariantChecker();
   testbed.AddContent(2, Duration::Seconds(60));
   testbed.Start();
   ViewerClient& v0 = testbed.AddViewer(FileId(0));
@@ -150,7 +150,7 @@ TEST(IntegrationTest, CubFailureMirrorsTakeOver) {
   // idempotent receive path must have absorbed them.
   EXPECT_GT(cubs.records_duplicate, 0);
   EXPECT_EQ(cubs.records_conflict, 0);
-  EXPECT_EQ(testbed.system().oracle()->conflict_count(), 0);
+  EXPECT_EQ(testbed.system().invariant_checker()->conflict_count(), 0);
   EXPECT_EQ(v0.stats().blocks_complete + v1.stats().blocks_complete + totals.lost_blocks,
             2 * 60);
 }

@@ -377,16 +377,16 @@ TEST(SloMonitorTest, ProbeBreachOutranksBurn) {
   options.glitch_budget = 1e9;
   options.viewer_glitch_budget = 1e9;
   SloMonitor monitor(&ledger, options);
-  int64_t oracle_count = 0;
-  monitor.AddBreachProbe("oracle_conflict", [&] { return oracle_count; });
+  int64_t violations = 0;
+  monitor.AddBreachProbe("invariant_violation", [&] { return violations; });
   std::vector<std::string> reasons;
   monitor.SetIncidentHandler([&](const std::string& r) { reasons.push_back(r); });
   Feed(&ledger, At(1), 10, 10);  // Massive burn *and* a probe delta...
-  oracle_count = 3;
+  violations = 3;
   monitor.Evaluate(At(1));
   // ...but the probe is the incident, not the symptom: it names the breach.
   ASSERT_EQ(reasons.size(), 1u);
-  EXPECT_EQ(reasons[0], "oracle_conflict");
+  EXPECT_EQ(reasons[0], "invariant_violation");
   // Flat probe afterwards: no re-breach from the same counter value.
   monitor.Evaluate(At(2));
   monitor.Evaluate(At(3));

@@ -213,14 +213,15 @@ TEST(ScaleDeterminismTest, ProfiledShardedRunIsByteIdenticalToUnprofiled) {
 
 // --- observers never perturb the run ----------------------------------------
 //
-// Every observer — auditor, invariant checker, time-series sampler, flight
-// recorder, SLO monitor — polls from an engine barrier task and writes only
-// through the journal, so attaching all of them must leave the protocol run
-// untouched: the same events, cub counters and client-observed QoS, at one
-// shard and at four. The scenario carries a data plane, looping viewers, a
-// cub power cut with revive, and one corrupted viewer-state forward, so
-// takeovers, mirror service, rejoin and the auditor's divergence path all run
-// under observation.
+// Every observer — auditor, time-series sampler, flight recorder, SLO
+// monitor — polls from an engine barrier task, the invariant checker takes
+// journaled hooks, and all of them write only through the journal, so
+// attaching all of them must leave the protocol run untouched: the same
+// events, cub counters and client-observed QoS, at one shard and at four.
+// The scenario carries a data plane, looping viewers, a cub power cut with
+// revive, and one corrupted viewer-state forward, so takeovers, mirror
+// service, rejoin and the auditor's divergence path all run under
+// observation.
 //
 // The auditor's verdict rests on its hooks and the views' landing logs alone,
 // so an auditor-only run without tracing must report byte-for-byte what the

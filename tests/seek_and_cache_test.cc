@@ -16,7 +16,7 @@ TigerConfig SmallConfig() {
 
 TEST(SeekTest, PlayFromMidFile) {
   Testbed testbed(SmallConfig(), 61);
-  testbed.system().EnableOracle();
+  testbed.system().EnableInvariantChecker();
   testbed.AddContent(1, Duration::Seconds(40));
   testbed.Start();
 
@@ -34,7 +34,7 @@ TEST(SeekTest, PlayFromMidFile) {
   EXPECT_EQ(seeker->stats().blocks_complete, 10) << "seek to block 30 of 40 plays 10 blocks";
   EXPECT_EQ(seeker->stats().lost_blocks, 0);
   EXPECT_EQ(viewer.stats().blocks_complete, 40);
-  EXPECT_EQ(testbed.system().oracle()->conflict_count(), 0);
+  EXPECT_EQ(testbed.system().invariant_checker()->conflict_count(), 0);
 }
 
 TEST(SeekTest, SeekNearEndOfFile) {
@@ -54,7 +54,7 @@ TEST(SeekTest, SeekNearEndOfFile) {
 
 TEST(SeekTest, StopAfterSeekRoutesDescheduleCorrectly) {
   Testbed testbed(SmallConfig(), 65);
-  testbed.system().EnableOracle();
+  testbed.system().EnableInvariantChecker();
   testbed.AddContent(1, Duration::Seconds(60));
   testbed.Start();
   auto viewer = std::make_unique<ViewerClient>(&testbed.sim(), ViewerId(902),

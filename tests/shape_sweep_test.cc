@@ -1,7 +1,7 @@
 // Property sweep: the full protocol must work at every valid system shape,
 // not just the paper's testbed. Each combination runs a short end-to-end
 // workload (and, where the shape tolerates it, a cub failure) under the
-// oracle's invariants.
+// schedule invariant checker.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +24,7 @@ TEST_P(ShapeSweepTest, DeliveryAndCoherenceHold) {
   config.shape = shape;
   Testbed testbed(config, 1000 + static_cast<uint64_t>(cubs * 100 + disks_per_cub * 10 +
                                                        decluster));
-  testbed.system().EnableOracle();
+  testbed.system().EnableInvariantChecker();
   testbed.AddContent(4, Duration::Seconds(25));
   testbed.Start();
 
@@ -39,8 +39,8 @@ TEST_P(ShapeSweepTest, DeliveryAndCoherenceHold) {
   EXPECT_EQ(totals.plays_completed, viewers);
   EXPECT_EQ(totals.blocks_complete, viewers * 25);
   EXPECT_EQ(totals.lost_blocks, 0);
-  EXPECT_EQ(testbed.system().oracle()->conflict_count(), 0);
-  EXPECT_EQ(testbed.system().oracle()->mistimed_send_count(), 0);
+  EXPECT_EQ(testbed.system().invariant_checker()->conflict_count(), 0);
+  EXPECT_EQ(testbed.system().invariant_checker()->mistimed_send_count(), 0);
   EXPECT_EQ(testbed.system().TotalCubCounters().records_conflict, 0);
 }
 
@@ -56,7 +56,7 @@ TEST_P(ShapeSweepTest, SurvivesOneCubFailure) {
   config.shape = shape;
   Testbed testbed(config, 2000 + static_cast<uint64_t>(cubs * 100 + disks_per_cub * 10 +
                                                        decluster));
-  testbed.system().EnableOracle();
+  testbed.system().EnableInvariantChecker();
   testbed.AddContent(3, Duration::Seconds(50));
   testbed.Start();
   for (int i = 0; i < 3; ++i) {
@@ -75,7 +75,7 @@ TEST_P(ShapeSweepTest, SurvivesOneCubFailure) {
       3 * (Duration::Seconds(9) / (config.block_play_time * cubs) + 2);
   EXPECT_LE(totals.lost_blocks, window_crossings * disks_per_cub + 3);
   EXPECT_GT(totals.fragments_received, 0);
-  EXPECT_EQ(testbed.system().oracle()->conflict_count(), 0);
+  EXPECT_EQ(testbed.system().invariant_checker()->conflict_count(), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, ShapeSweepTest,
